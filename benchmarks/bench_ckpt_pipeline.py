@@ -117,8 +117,7 @@ def microbench(quick: bool) -> dict:
         "incremental_parallel_s": t_incr_par,
         "speedup_incremental": t_full / t_incr,
         "speedup_incremental_parallel": t_full / t_incr_par,
-        "regions_clean": incr.capture_stats["regions_clean_gen"]
-        + incr.capture_stats["regions_clean_hash"],
+        "regions_clean": incr.capture_stats["regions_clean_gen"],
         "delta_logical_bytes": incr.delta_logical_bytes,
         "full_logical_bytes": full.raw_logical_bytes
         * full.compression_ratio,

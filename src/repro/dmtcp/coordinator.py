@@ -65,9 +65,8 @@ class Coordinator:
         self._ckpt_seen: List[int] = []
         self._ckpt_stats: List[dict] = []
         self._ckpt_done_evt: Optional[Event] = None
-        #: checkpoint epoch counter: with forked (overlapped) write-back a
-        #: process may still be pushing epoch N's image when epoch N+1
-        #: starts, so done-reports are matched to their epoch
+        #: checkpoint epoch counter: done-reports are matched to their
+        #: epoch
         self._ckpt_epoch = 0
         #: optional repro.store.CheckpointStore (set by dmtcp_launch /
         #: dmtcp_restart): each completed epoch kicks off the store's
@@ -183,9 +182,7 @@ class Coordinator:
         """Broadcast a checkpoint request; returns per-process stats once
         every checkpoint manager reports done.
 
-        "Done" means the blocking portion of each process's write landed;
-        a forked child may still be pushing the overlapped remainder (the
-        process serializes it against its next checkpoint locally).
+        "Done" means each process's image write landed.
 
         ``intent="migrate"`` is the stop-and-copy capture of a live
         migration: quiesce + drain + in-memory capture with *no* image

@@ -43,14 +43,9 @@ class CostModel:
     gzip_stall: float = 0.042
     #: fixed per-image header/metadata bytes
     image_header_bytes: float = 64 * 1024
-    #: incremental scan: streaming throughput of the per-region content
-    #: hash used to prove a region clean (blake2-class, per core)
+    #: streaming throughput of a content hash over candidate-clean memory
+    #: (blake2-class, per core): the migration pre-copy scan
     hash_throughput: float = 2.5e9
-    #: fraction of the image write-back hidden behind resumed application
-    #: compute by a forked checkpoint child (Cao et al., PAPERS.md:
-    #: "forked checkpointing" overlaps the write with the application;
-    #: 0.0 = fully blocking write, the paper's measured default)
-    ckpt_fork_overlap: float = 0.0
     #: IB2TCP: extra in-memory copy on every post while the plugin is
     #: loaded (the §6.4.1 "current implementation's use of an in-memory
     #: copy" — DMTCP/IB2TCP/IB row of Table 8)
@@ -91,15 +86,8 @@ class CostModel:
 
     def hash_seconds(self, logical_bytes: float) -> float:
         """Time to hash-verify ``logical_bytes`` of candidate-clean memory
-        during an incremental capture."""
+        (the migration pre-copy scan)."""
         return logical_bytes / self.hash_throughput
-
-    def overlapped_write_split(self, logical_bytes: float) -> tuple:
-        """(blocking, background) byte split of a forked write-back: the
-        child hides ``ckpt_fork_overlap`` of the stream behind resumed
-        application compute."""
-        overlap = min(max(self.ckpt_fork_overlap, 0.0), 1.0)
-        return logical_bytes * (1.0 - overlap), logical_bytes * overlap
 
 
 DEFAULT_COSTS = CostModel()

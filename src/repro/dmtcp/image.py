@@ -13,32 +13,31 @@ actually measured on the real bytes.
 
 Incremental + parallel capture (DESIGN.md §8/§13): :meth:`CheckpointImage.
 capture` takes an optional ``prev`` image.  A region whose generation is
-unchanged since ``prev`` (and that never leaked a writable view) is *clean*:
-its stored bytes and measured compression ratio are reused verbatim,
-skipping both the copy and the zlib pass.  Dirtiness below region level is
-tracked at the store's :data:`~repro.memory.CHUNK_BYTES` granularity: a
-touched region's per-chunk generation stamps (or, for leaked-view regions,
-one vectorized byte compare against the previous bytes) yield a chunk dirty
-mask, and only the dirty chunks count toward the incremental write-back
-delta — clean chunks also keep their known store digests so a later store
-put never re-hashes them.  Dirty regions are snapshotted fresh and their
-ratios measured over fixed-size chunks, optionally fanned out across a
-``concurrent.futures`` thread pool (zlib releases the GIL).  Whatever the
-mode, the resulting ``memory_snapshot`` restores bit-identically to a full
-capture of the same memory.
+unchanged since ``prev`` is *clean*: its stored bytes and measured
+compression ratio are reused verbatim, skipping both the copy and the zlib
+pass.  Dirtiness below region level is tracked at the store's
+:data:`~repro.memory.CHUNK_BYTES` granularity: a touched region's per-chunk
+generation stamps yield a chunk dirty mask, and only the dirty chunks count
+toward the incremental write-back delta — clean chunks also keep their
+known store digests so a later store put never re-hashes them.  Dirty
+regions are snapshotted fresh and their ratios measured over fixed-size
+chunks, optionally fanned out across a ``concurrent.futures`` thread pool
+(zlib releases the GIL).  Whatever the mode, the resulting
+``memory_snapshot`` restores bit-identically to a full capture of the same
+memory.
 """
 
 from __future__ import annotations
 
 import pickle
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
-from ..memory import CHUNK_BYTES, AddressSpace, chunk_diff_mask
+from ..memory import CHUNK_BYTES, AddressSpace
 
 __all__ = ["CheckpointImage", "ImageError", "CAPTURE_CHUNK_BYTES"]
 
@@ -51,7 +50,6 @@ class ImageError(RuntimeError):
 CAPTURE_CHUNK_BYTES = 1 << 20
 
 _pools: Dict[int, ThreadPoolExecutor] = {}
-_proc_pools: Dict[int, ProcessPoolExecutor] = {}
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -62,36 +60,14 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return pool
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    pool = _proc_pools.get(workers)
-    if pool is None:
-        pool = _proc_pools[workers] = ProcessPoolExecutor(
-            max_workers=workers)
-    return pool
-
-
 def _zlen(chunk: bytes) -> int:
     return len(zlib.compress(chunk, 1))
 
 
-def _measure_zlens(chunks, workers: int, pool_mode: str):
-    """Per-chunk compressed lengths, serial or fanned out.
-
-    ``pool_mode`` selects the executor for ``workers > 0``: ``"thread"``
-    (zlib releases the GIL, so threads already scale) or ``"process"``
-    (full interpreter parallelism; worth it when per-chunk CPU dominates
-    the pickle cost of shipping chunks to workers).  A process pool that
-    cannot start (sandboxed environments without fork/spawn) falls back
-    to the thread pool — results are identical either way.
-    """
+def _measure_zlens(chunks, workers: int):
+    """Per-chunk compressed lengths, serial or fanned out over a thread
+    pool for ``workers > 0`` (zlib releases the GIL, so threads scale)."""
     if workers > 0 and len(chunks) > 1:
-        if pool_mode == "process":
-            try:
-                return list(_process_pool(workers).map(
-                    _zlen, chunks,
-                    chunksize=max(1, len(chunks) // (4 * workers))))
-            except (OSError, RuntimeError, PermissionError):
-                _proc_pools.pop(workers, None)
         return list(_pool(workers).map(_zlen, chunks))
     return [_zlen(c) for c in chunks]
 
@@ -111,7 +87,7 @@ class CheckpointImage:
     compression_ratio: float = 1.0
     header_bytes: float = 0.0
     #: per-region capture bookkeeping, keyed by region name:
-    #: {"generation", "hash", "ratio", "chunk_gens", "chunk_hashes"} —
+    #: {"generation", "ratio", "chunk_gens", "chunk_hashes"} —
     #: what the *next* incremental capture needs to prove a region (or
     #: individual chunks of it) clean and reuse its ratio.  ``chunk_gens``
     #: is the per-chunk generation array as raw int64 bytes;
@@ -138,15 +114,13 @@ class CheckpointImage:
                 gzip: bool = True, checkpointer: str = "dmtcp",
                 header_bytes: float = 0.0,
                 prev: Optional["CheckpointImage"] = None,
-                workers: int = 0, pool_mode: str = "thread", tracer=None,
+                workers: int = 0, tracer=None,
                 t_sim: float = 0.0) -> "CheckpointImage":
         """Capture ``memory``, incrementally against ``prev`` if given.
 
         ``workers`` > 0 fans dirty-region compression measurement out over
-        a shared pool — ``pool_mode="thread"`` (default) or ``"process"``
-        for full interpreter parallelism; 0 keeps the pipeline serial
-        (chunked either way).  The restored memory is bit-identical in
-        every mode.
+        a shared thread pool; 0 keeps the pipeline serial (chunked either
+        way).  The restored memory is bit-identical in every mode.
 
         ``tracer``/``t_sim`` come from the caller (``DmtcpProcess``
         passes its class-wide tracer and ``env.now``): this module never
@@ -156,7 +130,7 @@ class CheckpointImage:
         san = cls.chunksan
         if san is not None:
             # audit the stamps *before* this capture trusts them for the
-            # clean-proof hierarchy below; charges zero simulated time
+            # clean proof below; charges zero simulated time
             san.check_capture(proc_name, memory, context="capture",
                               tracer=tracer, t_sim=t_sim)
 
@@ -168,11 +142,9 @@ class CheckpointImage:
             prev_meta = prev.region_meta
 
         stats = {"mode": "incremental" if prev is not None else "full",
-                 "workers": workers, "pool_mode": pool_mode,
-                 "regions_total": 0,
-                 "regions_clean_gen": 0, "regions_clean_hash": 0,
+                 "workers": workers, "regions_total": 0,
+                 "regions_clean_gen": 0,
                  "regions_dirty": 0, "bytes_clean": 0, "bytes_dirty": 0,
-                 "bytes_hashed": 0, "logical_hashed": 0.0,
                  "compress_skipped": 0, "chunks_total": 0,
                  "chunks_clean": 0, "chunks_dirty": 0,
                  "chunks_hash_skipped": 0}
@@ -193,48 +165,31 @@ class CheckpointImage:
             pm = prev_meta.get(region.name)
             ps = prev_snap.get(region.name)
             clean = False
-            compared = False    # paid a byte-compare/hash pass this region
-            rhash: Optional[bytes] = None
             chunk_hashes = None
             dirty_mask: Optional[np.ndarray] = None
             ndirty = 0
             if pm is not None and ps is not None \
                     and ps["addr"] == region.addr \
                     and ps["size"] == region.size:
-                if not region.views_leaked \
-                        and region.generation == pm["generation"]:
-                    # no view ever escaped: every mutation bumped the
-                    # generation, so equality proves the bytes unchanged
+                if region.generation == pm["generation"]:
+                    # every mutation bumped the generation, so equality
+                    # proves the bytes unchanged
                     clean = True
                     stats["chunks_hash_skipped"] += n_chunks
                 else:
-                    pm_gens = pm.get("chunk_gens")
-                    if not region.views_leaked and pm_gens is not None \
-                            and len(pm_gens) == 8 * n_chunks:
-                        # chunk-granularity proof: only chunks whose
-                        # generation stamp moved since ``prev`` can hold
-                        # changed bytes — nothing is hashed or compared
-                        dirty_mask = np.frombuffer(
-                            pm_gens, dtype=np.int64) != region.chunk_gens
-                        stats["chunks_hash_skipped"] += \
-                            n_chunks - int(np.count_nonzero(dirty_mask))
-                    else:
-                        # leaked views (or a pre-chunk prev image): one
-                        # vectorized byte compare against the previous
-                        # bytes, charged like the whole-region hash scan
-                        # it replaces
-                        compared = True
-                        dirty_mask = chunk_diff_mask(region.buffer,
-                                                     ps["data"])
-                        stats["bytes_hashed"] += region.size
-                        stats["logical_hashed"] += logical
+                    # chunk-granularity proof: only chunks whose
+                    # generation stamp moved since ``prev`` can hold
+                    # changed bytes — nothing is hashed or compared
+                    dirty_mask = np.frombuffer(
+                        pm["chunk_gens"], dtype=np.int64) \
+                        != region.chunk_gens
+                    stats["chunks_hash_skipped"] += \
+                        n_chunks - int(np.count_nonzero(dirty_mask))
                     if not dirty_mask.any():
                         clean = True
                         dirty_mask = None
             if clean:
-                stats["regions_clean_hash" if compared
-                      else "regions_clean_gen"] += 1
-                rhash = pm["hash"]
+                stats["regions_clean_gen"] += 1
                 chunk_hashes = pm.get("chunk_hashes")
                 data = ps["data"]       # bytes are immutable: share them
                 ratio = pm["ratio"]
@@ -262,12 +217,6 @@ class CheckpointImage:
                     # get ``None`` holes for the store to fill at put time
                     chunk_hashes = [None if dirty_mask[i] else pm_hashes[i]
                                     for i in range(n_chunks)]
-                if region.views_leaked and not compared:
-                    # brand-new leaked region (no usable prev): hash it
-                    # now so the next capture can prove it clean
-                    rhash = region.content_hash()
-                    stats["bytes_hashed"] += region.size
-                    stats["logical_hashed"] += logical
                 if not gzip:
                     ratio = 1.0
                 elif region.repr_scale > 1.0 or region.tag == "nas-data":
@@ -282,16 +231,14 @@ class CheckpointImage:
                     ratio = None        # measured below, maybe in parallel
 
             if tracer is not None:
-                how = "dirty" if not clean else (
-                    "hash" if compared else "gen")
+                how = "gen" if clean else "dirty"
                 extra = {} if prev is None else {
                     "chunks": n_chunks,
                     "chunks_dirty": 0 if clean else ndirty}
                 tracer.emit("capture.region", proc_name, t_sim,
                             name=region.name, clean=clean, how=how,
                             bytes=region.size, **extra)
-            entry = {"generation": region.generation, "hash": rhash,
-                     "ratio": ratio,
+            entry = {"generation": region.generation, "ratio": ratio,
                      "chunk_gens": region.chunk_gens.tobytes(),
                      "chunk_hashes": chunk_hashes}
             meta[region.name] = entry
@@ -313,8 +260,7 @@ class CheckpointImage:
             for j, (_entry, data) in enumerate(measure_jobs):
                 for off in range(0, len(data), CAPTURE_CHUNK_BYTES):
                     chunks.append((j, data[off:off + CAPTURE_CHUNK_BYTES]))
-            zlens = _measure_zlens([c for _j, c in chunks], workers,
-                                   pool_mode)
+            zlens = _measure_zlens([c for _j, c in chunks], workers)
             compressed = [0] * len(measure_jobs)
             for (j, _c), zl in zip(chunks, zlens):
                 compressed[j] += zl

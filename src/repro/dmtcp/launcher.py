@@ -169,8 +169,7 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                  coord_node_index: int = 0,
                  tracker: Optional[JobTracker] = None,
                  incremental: bool = False,
-                 ckpt_workers: int = 0, ckpt_pool: str = "thread",
-                 store=None) -> Generator:
+                 ckpt_workers: int = 0, store=None) -> Generator:
     """Process generator: start a coordinator and all processes under it.
 
     Every process's library table is populated (ibverbs when the node has
@@ -200,8 +199,7 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                             disk_kind=disk_kind,
                             node_index=spec.node_index,
                             incremental=incremental,
-                            ckpt_workers=ckpt_workers,
-                            ckpt_pool=ckpt_pool, store=store)
+                            ckpt_workers=ckpt_workers, store=store)
         procs.append(proc)
         launch_events.append(env.process(
             proc.launch(coordinator.node.name, coordinator.port,
@@ -221,8 +219,8 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                   stage_images: bool = True,
                   tracker: Optional[JobTracker] = None,
                   incremental: bool = False,
-                  ckpt_workers: int = 0, ckpt_pool: str = "thread",
-                  store=None, preloaded: bool = False) -> Generator:
+                  ckpt_workers: int = 0, store=None,
+                  preloaded: bool = False) -> Generator:
     """Process generator: restart a CheckpointSet on ``cluster`` (the same
     one or a different one — different LIDs, different qp_nums, possibly a
     different kernel or no InfiniBand at all).
@@ -274,8 +272,7 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                 host, record, image, costs,
                 coordinator.node.name, coordinator.port,
                 disk_kind=disk_kind, incremental=incremental,
-                ckpt_workers=ckpt_workers, ckpt_pool=ckpt_pool,
-                store=store)
+                ckpt_workers=ckpt_workers, store=store)
             procs_by_name[record.name] = proc
             yield from proc.restart_flow(coordinator.node.name,
                                          coordinator.port)

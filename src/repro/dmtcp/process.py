@@ -108,16 +108,15 @@ class CheckpointRecord:
 class DmtcpProcess:
     """One application process running under dmtcp_launch."""
 
-    #: opt-in runtime invariant checker (``repro.analysis.protocol``);
-    #: validates that the forked background writer is always joined before
-    #: the next epoch's image write.  Installed class-wide, like
-    #: ``InfinibandPlugin.monitor``.
+    #: opt-in runtime invariant checker (``repro.analysis.protocol``),
+    #: notified when a checkpoint quiesces the process.  Installed
+    #: class-wide, like ``InfinibandPlugin.monitor``.
     monitor = None
 
     #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
     #: by ``install_tracer``: the checkpoint pipeline (quiesce, drain,
-    #: settle, capture, write, background write-back) and the restart flow
-    #: emit timeline spans when a tracer is attached.
+    #: settle, capture, write) and the restart flow emit timeline spans
+    #: when a tracer is attached.
     tracer = None
 
     def __init__(self, host: ProcessHost, name: str, rank: int, world: int,
@@ -125,7 +124,7 @@ class DmtcpProcess:
                  gzip: bool = True, ckpt_dir: str = "/tmp",
                  disk_kind: str = "local", node_index: int = 0,
                  incremental: bool = False, ckpt_workers: int = 0,
-                 ckpt_pool: str = "thread", store=None):
+                 store=None):
         self.host = host
         self.env = host.env
         self.name = name
@@ -141,9 +140,6 @@ class DmtcpProcess:
         self.incremental = incremental
         #: worker threads for dirty-region compression (0 = serial)
         self.ckpt_workers = ckpt_workers
-        #: "thread" (default) or "process" — executor kind for the
-        #: compression-ratio measurement fan-out in capture()
-        self.ckpt_pool = ckpt_pool
         #: optional repro.store.CheckpointStore: images land as
         #: content-addressed chunks on the local tier (async replication
         #: is the coordinator's job) instead of one monolithic file
@@ -157,8 +153,6 @@ class DmtcpProcess:
         #: (e.g. QuotaExceededError from a saturated shared tier); the
         #: session re-raises it so supervisors see tier/tenant detail
         self.ckpt_error: Optional[BaseException] = None
-        #: the forked child's in-flight overlapped write-back, if any
-        self._bg_write: Optional[Process] = None
         host.compute_tax = costs.compute_tax
 
     # -- launch ------------------------------------------------------------------
@@ -210,11 +204,9 @@ class DmtcpProcess:
                                         epoch=epoch, gen=gen)
         # 1. quiesce user threads — every live thread of the process except
         # the checkpoint manager itself (runtimes spawn helpers: progress
-        # engines, rendezvous puts, accept loops) and the forked child
-        # still draining the previous image's overlapped write-back
+        # engines, rendezvous puts, accept loops)
         self.user_threads = [t for t in self.host.threads
-                             if t is not self.manager
-                             and t is not self._bg_write and t.is_alive]
+                             if t is not self.manager and t.is_alive]
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.PRESUSPEND)
         for thread in self.user_threads:
@@ -278,13 +270,7 @@ class DmtcpProcess:
             hca_vendor=hca_vendor, memory=self.host.memory,
             gzip=self.gzip, header_bytes=self.costs.image_header_bytes,
             prev=prev, workers=self.ckpt_workers,
-            pool_mode=self.ckpt_pool,
             tracer=tracer, t_sim=self.env.now)
-        # incremental scan: hash-verifying candidate-clean memory costs time
-        scan_seconds = self.costs.hash_seconds(
-            image.capture_stats.get("logical_hashed", 0.0))
-        if scan_seconds > 0.0:
-            yield self.host.compute(seconds=scan_seconds)
         if tracer is not None:
             cstats = image.capture_stats
             # chunk-level dirty accounting (metrics always; span attrs
@@ -304,18 +290,8 @@ class DmtcpProcess:
             tracer.end(capture_span, self.env.now,
                        mode=cstats.get("mode", "full"),
                        regions_dirty=cstats.get("regions_dirty", 0),
-                       regions_clean=cstats.get("regions_clean_gen", 0)
-                       + cstats.get("regions_clean_hash", 0),
+                       regions_clean=cstats.get("regions_clean_gen", 0),
                        **chunk_attrs)
-        # one outstanding forked child: a still-running previous
-        # write-back must land before this image overwrites its path
-        if self._bg_write is not None and self._bg_write.is_alive:
-            yield self._bg_write
-        self._bg_write = None
-        if self.monitor is not None:
-            self.monitor.on_bg_write_join(self.name)
-            if intent != "migrate":
-                self.monitor.on_image_write(self.name, epoch)
         stall = self.costs.gzip_stall_factor(self.ckpt_workers) \
             if self.gzip else 1.0
         abs_epoch = epoch
@@ -324,15 +300,13 @@ class DmtcpProcess:
             # stop-and-copy capture of a live migration: the image stays
             # in memory and the migration manager ships the final dirty
             # delta over the wire itself — no bytes land on any tier, so
-            # there is nothing to fork, dedup, or replicate at this epoch
-            bg_logical = 0.0
+            # there is nothing to dedup or replicate at this epoch
             real_bytes = 0.0
             path = ""
         elif self.store is not None:
             # content-addressed landing: dedup stands in for the clean
             # regions' writes, and the partner/Lustre copies are the
-            # coordinator-driven async replication — nothing to fork here
-            bg_logical = 0.0
+            # coordinator-driven async replication
             write_span = None if tracer is None else tracer.begin(
                 "ckpt.write", self.name, self.env.now, epoch=epoch,
                 gen=gen, store=True)
@@ -373,29 +347,15 @@ class DmtcpProcess:
                 else image.logical_size
             if self.gzip:
                 logical *= stall
-            sync_logical, bg_logical = \
-                self.costs.overlapped_write_split(logical)
             write_span = None if tracer is None else tracer.begin(
                 "ckpt.write", self.name, self.env.now, epoch=epoch,
                 gen=gen)
-            yield from disk.write(path, data, logical_size=sync_logical)
-            if bg_logical > 0.0 and intent == "resume":
-                # forked write-back: the child pushes the remainder while
-                # the application resumes (Cao et al.'s overlapped
-                # checkpointing)
-                if self.monitor is not None:
-                    self.monitor.on_bg_write_start(self.name, epoch)
-                self._bg_write = self.host.spawn_thread(
-                    self._bg_write_flow(disk, path, data, bg_logical,
-                                        epoch),
-                    name=f"{self.name}.ckptfork")
-            elif bg_logical > 0.0:
-                # frozen processes have nothing to overlap with: write it
-                yield from disk.write(path, data, logical_size=bg_logical)
+            yield from disk.write(path, data, logical_size=logical)
             if tracer is not None:
+                # the whole write blocks; bg_logical stays in the span
+                # schema (recorded traces pin it) and is always 0.0
                 tracer.end(write_span, self.env.now, stall=stall,
-                           sync_logical=sync_logical,
-                           bg_logical=bg_logical)
+                           sync_logical=logical, bg_logical=0.0)
         yield from self.client.barrier("written")
 
         ckpt_seconds = self.env.now - t0
@@ -422,15 +382,12 @@ class DmtcpProcess:
                  "image_real_bytes": real_bytes,
                  "mode": cstats.get("mode", "full"),
                  "regions_dirty": cstats.get("regions_dirty", 0),
-                 "regions_clean": cstats.get("regions_clean_gen", 0)
-                 + cstats.get("regions_clean_hash", 0),
+                 "regions_clean": cstats.get("regions_clean_gen", 0),
                  "delta_logical_bytes": image.delta_logical_size,
                  "chunks_total": cstats.get("chunks_total", 0),
                  "chunks_clean": cstats.get("chunks_clean", 0),
                  "chunks_dirty": cstats.get("chunks_dirty", 0),
-                 "chunks_hash_skipped": cstats.get("chunks_hash_skipped", 0),
-                 "overlapped_logical_bytes": bg_logical
-                 if intent == "resume" else 0.0}
+                 "chunks_hash_skipped": cstats.get("chunks_hash_skipped", 0)}
         if put is not None:
             stats["store_chunks_new"] = put.chunks_new
             stats["store_chunks_deduped"] = put.chunks_deduped
@@ -447,21 +404,6 @@ class DmtcpProcess:
             for thread in self.user_threads:
                 if thread.is_alive:
                     thread.unsuspend()
-
-    def _bg_write_flow(self, disk, path: str, data: bytes,
-                       logical: float, epoch: int) -> Generator:
-        """The forked child's overlapped write-back, as a traced span.
-
-        The tracer reference is captured at spawn time: if the tracer is
-        uninstalled (test teardown) while the child is still writing, the
-        end record lands in the same trace as the begin."""
-        tracer = self.tracer
-        span = None if tracer is None else tracer.begin(
-            "bg_write", self.name, self.env.now, epoch=epoch,
-            gen=self.appctx.restarts, logical=logical)
-        yield from disk.write(path, data, logical_size=logical)
-        if tracer is not None:
-            tracer.end(span, self.env.now)
 
     # -- restart ------------------------------------------------------------------
 
@@ -480,8 +422,7 @@ class DmtcpProcess:
                 image: CheckpointImage, costs: CostModel,
                 coord_host: str, coord_port: int,
                 disk_kind: str = "local", incremental: bool = False,
-                ckpt_workers: int = 0, ckpt_pool: str = "thread",
-                store=None) -> "DmtcpProcess":
+                ckpt_workers: int = 0, store=None) -> "DmtcpProcess":
         """Build the restarted process object (dmtcp_restart runs
         :meth:`restart_flow` on it afterwards)."""
         cont = record.continuation
@@ -489,8 +430,7 @@ class DmtcpProcess:
                    world=cont.appctx.world, plugins=cont.plugins,
                    costs=costs, gzip=image.gzip, disk_kind=disk_kind,
                    node_index=record.node_index, incremental=incremental,
-                   ckpt_workers=ckpt_workers, ckpt_pool=ckpt_pool,
-                   store=store)
+                   ckpt_workers=ckpt_workers, store=store)
         # the restored process lives at the original virtual addresses:
         # adopt the old address space and overwrite it with image bytes
         image.restore_memory(cont.memory)

@@ -123,8 +123,7 @@ class Tracer:
 
     def end(self, span_id: Optional[int], t_sim: float,
             **fields: Any) -> Optional[Dict[str, Any]]:
-        """Close a span.  Unknown/already-closed ids are ignored (a
-        background writer may outlive the tracer that opened its span)."""
+        """Close a span.  Unknown/already-closed ids are ignored."""
         opened = self._open.pop(span_id, None)
         if opened is None:
             return None

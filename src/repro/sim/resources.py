@@ -41,31 +41,6 @@ class Store:
             self._putters.append((event, item))
         return event
 
-    def put_many(self, items) -> Event:
-        """Feed a whole batch through the channel with one wakeup pass.
-
-        Returns an event that triggers once every item is in the store.
-        On an unbounded store (the fabric/coordinator default) the batch
-        is appended in one go and waiting getters are serviced in a
-        single pass — one event instead of one per item.  Delivery order
-        is exactly that of sequential :meth:`put` calls.  Bounded stores
-        fall back to sequential puts (per-item events are needed to park
-        overflow fairly behind existing putters)."""
-        items = list(items)
-        if not items:
-            event = Event(self.env)
-            event.succeed()
-            return event
-        if self.capacity == float("inf"):
-            event = Event(self.env)
-            self.items.extend(items)
-            event.succeed()
-            self._service_getters()
-            return event
-        for item in items:
-            event = self.put(item)
-        return event
-
     def get(self) -> Event:
         """Return an event that triggers with the next item."""
         event = Event(self.env)

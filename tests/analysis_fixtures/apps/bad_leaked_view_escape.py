@@ -2,33 +2,34 @@
 rule must catch — once the raw view outlives the expression, any later
 writer mutates bytes behind the chunk stamps' back."""
 
+import numpy as np
+
 
 def returned(region):
-    return region.as_ndarray()      # flagged: returned to the caller
+    return np.frombuffer(region.buffer, dtype=np.uint8)  # flagged: returned
 
 
 def stored_on_self(self, region):
-    self.grid = region.as_ndarray()  # flagged: attribute store
+    self.grid = np.frombuffer(region.buffer, dtype="f8")  # flagged: attribute
 
 
 def appended(region, views):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer, dtype=np.uint8)
     views.append(x)                 # flagged: captured by a container
 
 
 def in_literals(region):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer, dtype=np.uint8)
     pair = [x, None]                # flagged: container literal
     table = {"grid": x}             # flagged: dict literal
     return pair, table
 
 
 def yielded(region):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer, dtype=np.uint8)
     yield x                         # flagged: yielded to the caller
 
 
-def undeclared_frombuffer_escape(region):
-    import numpy as np
-    peek = np.frombuffer(region.buffer, dtype="f8")
-    return peek                     # flagged: undeclared raw view escapes
+def derived_view_escape(region):
+    peek = np.frombuffer(region.buffer, dtype="f8").reshape(8, -1)
+    return peek                     # flagged: taint survives reshape

@@ -32,11 +32,5 @@ def read_only_frombuffer_peek(region):
     return float(peek.sum())            # value escapes, the view doesn't
 
 
-def declared_leak(region):
-    arr = np.frombuffer(region.buffer, dtype="f8")
-    region.views_leaked = True          # the honest escape hatch
-    return arr
-
-
 def app_streams(rng):
     return rng.stream("app/noise"), rng.child("rank", 3)

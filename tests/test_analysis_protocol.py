@@ -153,24 +153,6 @@ def test_resolved_or_unpublished_rkey_is_silent():
     assert monitor.violations == []
 
 
-# -- writer-quiesce ------------------------------------------------------------
-
-
-def test_image_write_over_live_bg_writer_raises():
-    monitor = ProtocolMonitor(strict=True)
-    monitor.on_bg_write_start("p0", 1)
-    with pytest.raises(ProtocolViolation, match="writer-quiesce"):
-        monitor.on_image_write("p0", 2)
-
-
-def test_joined_bg_writer_is_silent():
-    monitor = ProtocolMonitor(strict=True)
-    monitor.on_bg_write_start("p0", 1)
-    monitor.on_bg_write_join("p0")
-    monitor.on_image_write("p0", 2)
-    assert monitor.violations == []
-
-
 # -- non-strict mode / summary -------------------------------------------------
 
 
@@ -179,12 +161,12 @@ def test_non_strict_accumulates_instead_of_raising():
     vqp = _vqp()
     monitor.on_create_qp(vqp)
     monitor.on_modify_qp(vqp, _attr(QpState.RTS), QpAttrMask.STATE)
-    monitor.on_bg_write_start("p0", 1)
-    monitor.on_image_write("p0", 2)
+    plugin = SimpleNamespace(db={"mr:pd-B:5": 0x99})
+    monitor.on_translate_rkey(plugin, _vqp(), 5, {"pd": "pd-A"}, None)
     summary = monitor.summary()
     assert len(summary["violations"]) == 2
     assert summary["events"]["violation:qp-state-machine"] == 1
-    assert summary["events"]["violation:writer-quiesce"] == 1
+    assert summary["events"]["violation:rkey-pd"] == 1
 
 
 # -- install / nesting ---------------------------------------------------------
@@ -220,11 +202,11 @@ def test_install_uninstall_roundtrip():
 def test_injected_crash_restart_is_violation_free_under_monitor():
     """The chaos harness's own restart path satisfies every runtime
     invariant: state-machine-legal replay, exactly-balanced re-posts,
-    per-PD rkey resolution, quiesced writer."""
+    per-PD rkey resolution."""
     out = verify_restart_path(seed=31, analysis=True)
     proto = out["protocol"]
     assert proto is not None
     assert proto["violations"] == []
     assert proto["events"].get("replay_begin", 0) >= 1
     assert proto["events"].get("repost_recv", 0) >= 1
-    assert proto["events"].get("image_write", 0) >= 1
+    assert proto["events"].get("quiesce", 0) >= 1

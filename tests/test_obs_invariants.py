@@ -200,20 +200,6 @@ def test_negative_replay_balance():
     assert check_trace_invariants(g.events) == []
 
 
-def test_negative_writer_overlap():
-    b = _TraceBuilder(seed=44)
-    b.emit("bg_write", "B", "mpi.r3", span=9, epoch=1, gen=0)
-    # next epoch's image write begins with the epoch-1 writer still live
-    b.emit("ckpt.write", "B", "mpi.r3", span=10, epoch=2, gen=0)
-    assert _violation_kinds(b.events) == ["writer-quiesce"]
-
-    g = _TraceBuilder(seed=44)
-    g.emit("bg_write", "B", "mpi.r3", span=9, epoch=1, gen=0)
-    g.emit("bg_write", "E", "mpi.r3", span=9, epoch=1, gen=0)
-    g.emit("ckpt.write", "B", "mpi.r3", span=10, epoch=2, gen=0)
-    assert check_trace_invariants(g.events) == []
-
-
 def test_dropped_ring_disables_history_checks():
     """With ring evictions the prefix may be gone: history-dependent
     checks are skipped, self-contained ones still run."""

@@ -207,47 +207,6 @@ def test_failed_event_without_handler_raises_at_step():
         env.run()
 
 
-# -- vectorized delay computation ------------------------------------------------
-
-def test_transfer_times_bit_identical_to_scalar():
-    """The numpy bulk path must agree with transfer_time to the last
-    bit for every element (it feeds timing decisions at scale)."""
-    from repro.hardware.network import Network
-
-    env = Environment()
-    net = Network(env, "t", latency=1.7e-6, bandwidth=3.2e9,
-                  per_message_overhead=3e-7)
-    sizes = [0.0, 1.0, 13.0, 2048.0, 12 * 1024.0, 1e6, 7.3e8]
-    bulk = net.transfer_times(sizes)
-    for size, got in zip(sizes, bulk):
-        assert float(got) == net.transfer_time(size)
-
-
-def test_store_put_many_matches_sequential_puts():
-    env = Environment()
-    a, b = Store(env), Store(env)
-    for item in ("x", "y", "z"):
-        a.put(item)
-    evt = b.put_many(["x", "y", "z"])
-    assert evt.triggered
-    assert list(a.items) == list(b.items)
-    # waiting getters are served in FIFO order by the single wakeup pass
-    env2 = Environment()
-    s = Store(env2)
-    got = []
-
-    def getter(i):
-        item = yield s.get()
-        got.append((i, item))
-
-    for i in range(3):
-        env2.process(getter(i))
-    env2.run()
-    s.put_many([10, 20, 30])
-    env2.run()
-    assert got == [(0, 10), (1, 20), (2, 30)]
-
-
 # -- golden trace byte-identity --------------------------------------------------
 
 def test_lu_precopy_migration_golden_trace_bytes_identical():

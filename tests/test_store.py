@@ -85,18 +85,23 @@ def test_manifest_roundtrip_and_bad_magic():
 
 def test_put_reuses_capture_hashes():
     """Chunk digests agree with the capture's own blake2b fingerprint:
-    when the incremental scan recorded a hash it IS the content address
-    (no rehash); regions without one (gen-clean/fresh) get the same
+    a digest the incremental capture carried forward for a clean chunk
+    IS the content address (no rehash), and a fresh chunk gets the same
     function applied, so cross-path dedup still works."""
     mem = _memory(4)
     base = _capture(mem)
+    CheckpointStore._refs_for(base)     # fills base's per-chunk digests
+    mem.write(mem.region("r0").addr, b"\x01")
     incr = _capture(mem, prev=base)
+    carried = {name: list(meta["chunk_hashes"])
+               for name, meta in incr.region_meta.items()}
+    assert carried["r0"] == [None]
     refs = CheckpointStore._refs_for(incr)
     for (ref, data), region in zip(refs, incr.memory_snapshot["regions"]):
         assert ref.digest == digest_bytes(region["data"])
-        recorded = incr.region_meta[region["name"]]["hash"]
+        recorded = carried[region["name"]][0]
         if recorded is not None:
-            assert ref.digest == recorded
+            assert ref.digest is recorded
 
 
 # -- put: dedup across epochs and ranks ---------------------------------------

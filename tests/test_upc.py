@@ -36,7 +36,7 @@ def test_barrier_and_ids():
 def test_memput_memget_roundtrip():
     def app(ctx, upc):
         seg = upc.core.segment
-        view = seg.as_ndarray(dtype=np.float64)
+        view = seg.view(dtype=np.float64)
         n = 16
         if upc.MYTHREAD == 0:
             view[:n] = np.arange(n) + 1.0
@@ -56,7 +56,7 @@ def test_memput_memget_roundtrip():
 def test_memget_one_sided():
     def app(ctx, upc):
         seg = upc.core.segment
-        view = seg.as_ndarray(dtype=np.float64)
+        view = seg.view(dtype=np.float64)
         if upc.MYTHREAD == 1:
             view[:8] = 7.0
         yield from upc.barrier()
