@@ -11,9 +11,13 @@ full-image baseline (the ISSUE acceptance bar).
 **tiers** — restart fetch routing and integrity: a replicated checkpoint
 fetched (a) healthy -> all chunks from the node-local tier, (b) after a
 node crash -> partner replica, (c) after crashing the partner too ->
-Lustre; every path reassembles a bit-identical image.  A corrupt-chunk
-pass verifies the digest check catches injected rot and heals it from a
-replica.
+Lustre; every path reassembles an image bit-identical to the one put.
+``put_image`` writes the per-chunk digests it computed back into the
+image's ``chunk_hashes`` holes (so the next incremental capture reuses
+them), so the reference is the post-put image, and a separate check
+proves the put changed nothing else: every data byte and every other
+field is equal before and after.  A corrupt-chunk pass verifies the
+digest check catches injected rot and heals it from a replica.
 
 Usage::
 
@@ -117,6 +121,32 @@ def dedup_bench(quick: bool) -> dict:
     }
 
 
+def only_hash_holes_filled(before: CheckpointImage,
+                           after: CheckpointImage) -> bool:
+    """True when ``after`` differs from ``before`` only by digests
+    written into ``chunk_hashes`` holes: every data byte, every other
+    field and every digest ``before`` already knew are equal."""
+    fields, fields_after = dict(vars(before)), dict(vars(after))
+    meta, meta_after = fields.pop("region_meta"), fields_after.pop(
+        "region_meta")
+    if fields != fields_after or meta.keys() != meta_after.keys():
+        return False
+    for name, entry in meta.items():
+        entry_after = meta_after[name]
+        rest = {k: v for k, v in entry.items() if k != "chunk_hashes"}
+        if rest != {k: v for k, v in entry_after.items()
+                    if k != "chunk_hashes"}:
+            return False
+        old = entry.get("chunk_hashes")
+        new = entry_after.get("chunk_hashes")
+        if not isinstance(new, list) or None in new:
+            return False
+        if old is not None and (len(old) != len(new) or any(
+                o is not None and o != n for o, n in zip(old, new))):
+            return False
+    return True
+
+
 def tier_bench(quick: bool) -> dict:
     n_regions, region_bytes = (8, 64 * 1024) if quick else (16, 256 * 1024)
     env = Environment()
@@ -124,13 +154,17 @@ def tier_bench(quick: bool) -> dict:
     store = CheckpointStore(cluster)
     memory, _rng = _build_space("p0", n_regions, region_bytes, seed=7)
     image = _capture(memory, "p0")
-    reference = image.to_bytes()
+    before_put = CheckpointImage.from_bytes(image.to_bytes())
     _run(env, store.put_image(rank=0, node_index=0, epoch=1, image=image))
+    # the put fills the image's chunk-digest holes in place: fetches
+    # must reassemble the image as it stands after the put
+    reference = image.to_bytes()
     store.schedule_replication(1)
     _run(env, store.drain_replication())
     manifest = store.manifest("p0", 1)
 
-    passes = {}
+    passes = {"put_fills_only_hash_holes":
+              only_hash_holes_filled(before_put, image)}
 
     def fetch(label):
         t0 = env.now
@@ -222,6 +256,8 @@ def main(argv=None) -> int:
     checks = {
         f"incremental bytes <= {MAX_INCR_FRACTION}x full baseline":
             dedup["incr_fraction_worst"] <= MAX_INCR_FRACTION,
+        "put_image changes only chunk_hashes holes":
+            tiers["put_fills_only_hash_holes"],
         "every fetch path bit-identical": all(
             tiers[k]["bit_identical"]
             for k in ("healthy", "node_crash", "partner_crash",

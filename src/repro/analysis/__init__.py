@@ -13,33 +13,22 @@ convention-checked:
   writes, RNG namespace taint;
 * :mod:`.findings` — ``stale-suppression``: every ``# repro: allow()``
   waiver must still silence a real finding or it becomes one;
-* :mod:`.protocol` / :mod:`.chunksan` — the opt-in runtime checkers:
-  :class:`ProtocolMonitor` (QP state machine, WQE-log balance, rkey
-  translation) and :class:`ChunkSan` (shadow full-hash oracle proving
-  chunk stamps are a superset of the true content diff).
+* :mod:`.protocol` / :mod:`.chunksan` — the opt-in runtime checkers,
+  installed through :func:`repro.instrument.installed`:
+  :class:`ProtocolMonitor` (QP state machine, rkey translation) and
+  :class:`ChunkSan` (shadow full-hash oracle proving chunk stamps are a
+  superset of the true content diff).
 
 CLI: ``python -m repro.analysis [paths] [--budget FILE] [--escape]``.
 """
 
 from .budget import charge, load_budget, render_report, write_budget
-from .chunksan import (
-    ChunkSan,
-    ChunkSanError,
-    install_chunksan,
-    sanitized,
-    uninstall_chunksan,
-)
+from .chunksan import ChunkSan, ChunkSanError
 from .concurrency import CONCURRENCY_RULES, check_paths
 from .escape import ESCAPE_RULES, escape_paths
 from .findings import Finding, STALE_RULES
 from .lint import LINT_RULES, lint_paths
-from .protocol import (
-    ProtocolMonitor,
-    ProtocolViolation,
-    install_monitor,
-    monitored,
-    uninstall_monitor,
-)
+from .protocol import ProtocolMonitor, ProtocolViolation
 
 __all__ = [
     "Finding",
@@ -56,14 +45,8 @@ __all__ = [
     "write_budget",
     "ProtocolMonitor",
     "ProtocolViolation",
-    "install_monitor",
-    "uninstall_monitor",
-    "monitored",
     "ChunkSan",
     "ChunkSanError",
-    "install_chunksan",
-    "uninstall_chunksan",
-    "sanitized",
     "run_analysis",
 ]
 

@@ -22,11 +22,13 @@ under every chaos sweep:
 Every region is judged: the stamps are capture's only clean proof, so
 none is exempt.  ChunkSan charges **zero simulated time** — it runs in
 the capture call, which is instantaneous in sim time by construction —
-and is strictly opt-in: installed class-wide like the
-:class:`~repro.analysis.protocol.ProtocolMonitor` (pytest fixture knob
-``REPRO_CHUNKSAN=1`` / ``@pytest.mark.chunksan``, or
-``fault_sweep --chunksan``), with no import from the checked modules
-back into ``repro.analysis``.
+and is strictly opt-in: it sits in the ``chunksan`` slot of
+:mod:`repro.instrument` (``installed(chunksan=ChunkSan())``; pytest
+fixture knob ``REPRO_CHUNKSAN=1`` / ``@pytest.mark.chunksan``, or
+``fault_sweep --chunksan``), so the checked modules never import
+``repro.analysis``.  ``Region.touch`` is interposed only while a ChunkSan
+is installed (:meth:`ChunkSan.recording_touches`), so it costs nothing
+when off.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from __future__ import annotations
 import hashlib
 import traceback
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .. import instrument
 from ..memory import CHUNK_BYTES
+from ..memory.address_space import Region
 
-__all__ = ["ChunkSan", "ChunkSanError", "install_chunksan",
-           "uninstall_chunksan", "sanitized"]
+__all__ = ["ChunkSan", "ChunkSanError"]
 
 #: frames kept per recorded touch() call site
 _BACKTRACE_LIMIT = 8
@@ -77,13 +80,13 @@ class ChunkSan:
         self.chunks_checked = 0
         self.stale_caught = 0
 
-    # -- touch recording (wired by install_chunksan) -------------------------
+    # -- touch recording (wired by recording_touches) ------------------------
 
     def record_touch(self, region, offset: int = 0,
                      length: Optional[int] = None) -> None:
         """Remember where each chunk was last stamped, for the error
-        message.  Called by the installed ``Region.touch`` wrapper
-        *before* the real touch runs."""
+        message.  Called by the ``Region.touch`` wrapper of
+        :meth:`recording_touches` *before* the real touch runs."""
         n = region.n_chunks
         if length is None:
             lo, hi = 0, n
@@ -97,6 +100,23 @@ class ChunkSan:
         per_region = self._touches.setdefault(id(region), {})
         for i in range(lo, hi):
             per_region[i] = where
+
+    @contextmanager
+    def recording_touches(self) -> Iterator[None]:
+        """Interpose ``Region.touch`` to record last-touch backtraces for
+        the body of the block; :func:`repro.instrument.installed` enters
+        this for an installed ChunkSan."""
+        orig_touch = Region.touch
+
+        def _touch(region, offset: int = 0, length: Optional[int] = None):
+            self.record_touch(region, offset, length)
+            return orig_touch(region, offset, length)
+
+        Region.touch = _touch
+        try:
+            yield
+        finally:
+            Region.touch = orig_touch
 
     def _last_touch(self, region, chunk: int) -> str:
         where = self._touches.get(id(region), {}).get(chunk)
@@ -142,7 +162,7 @@ class ChunkSan:
         return n
 
     def check_capture(self, proc_name: str, memory,
-                      context: str = "capture", tracer=None,
+                      context: str = "capture",
                       t_sim: float = 0.0) -> None:
         """Audit every region of ``memory``; called at capture entry and
         at each migration pre-copy round.  Zero simulated time."""
@@ -152,6 +172,7 @@ class ChunkSan:
         for region in memory:
             regions += 1
             chunks += self.check_region(proc_name, region, context)
+        tracer = instrument.tracer
         if tracer is not None:
             # note: no "chunks"+"chunks_dirty" pair — that attribute
             # combination is claimed by the chunk-balance trace invariant
@@ -165,45 +186,3 @@ class ChunkSan:
                 "chunks_checked": self.chunks_checked,
                 "stale_caught": self.stale_caught}
 
-
-def install_chunksan(san: ChunkSan):
-    """Install ``san`` class-wide on the two audit points —
-    ``CheckpointImage.capture`` and ``MigrationManager`` pre-copy rounds
-    — and interpose ``Region.touch`` to record last-touch backtraces.
-    Returns the previous state for :func:`uninstall_chunksan` (nesting
-    restores cleanly, same shape as ``install_monitor``)."""
-    from ..dmtcp.image import CheckpointImage
-    from ..memory.address_space import Region
-    from ..migrate.manager import MigrationManager
-
-    prev = (CheckpointImage.chunksan, MigrationManager.chunksan,
-            Region.touch)
-    CheckpointImage.chunksan = san
-    MigrationManager.chunksan = san
-    orig_touch = Region.touch
-
-    def _touch(self, offset: int = 0, length: Optional[int] = None):
-        san.record_touch(self, offset, length)
-        return orig_touch(self, offset, length)
-
-    Region.touch = _touch
-    return prev
-
-
-def uninstall_chunksan(prev) -> None:
-    from ..dmtcp.image import CheckpointImage
-    from ..memory.address_space import Region
-    from ..migrate.manager import MigrationManager
-
-    CheckpointImage.chunksan, MigrationManager.chunksan, Region.touch = prev
-
-
-@contextmanager
-def sanitized():
-    """``with sanitized() as san:`` — run the body under ChunkSan."""
-    san = ChunkSan()
-    prev = install_chunksan(san)
-    try:
-        yield san
-    finally:
-        uninstall_chunksan(prev)

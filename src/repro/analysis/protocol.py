@@ -1,30 +1,31 @@
 """Runtime verbs-protocol monitor: the dynamic half of the analysis gate.
 
-The :class:`ProtocolMonitor` hooks the shadow layer (via the
-``InfinibandPlugin.monitor`` / ``DmtcpProcess.monitor`` class attributes
-— ``core`` never imports ``analysis``) and validates, while the
-simulation runs, the invariants the paper's correctness argument rests
-on:
+The :class:`ProtocolMonitor` sits in the ``monitor`` slot of
+:mod:`repro.instrument` (``installed(monitor=ProtocolMonitor())`` —
+``core`` never imports ``analysis``) and validates, while the simulation
+runs, the invariants the paper's correctness argument rests on that need
+no timeline:
 
 ``qp-state-machine``
     Every ``modify_qp`` the application issues — and every modify the
     plugin *replays* at restart (Principle 6) — must follow the legal
     RESET→INIT→RTR→RTS progression.  One shared table,
     :data:`~repro.ibverbs.enums.LEGAL_QP_TRANSITIONS`, backs both the
-    library model and this check.
-
-``wqe-balance``
-    Every polled completion must match a logged post (Principle 3 —
-    the orphan itself raises :class:`WqeLogError` in the shadow layer;
-    the monitor records it), and restart replay must re-post *exactly*
-    the surviving logged set: after ``on_replay_done`` the per-QP repost
-    counts are compared against the log lengths.
+    library model and this check.  :meth:`ProtocolMonitor.on_replay_qp`
+    walks a QP's whole modify log from RESET before the first replayed
+    modify reaches the re-created QP.
 
 ``rkey-pd``
     Rkey translation is per-PD (§3.2.2).  If a virtual rkey fails to
     resolve under the remote QP's PD but *would* resolve under some
     other PD, the application is mixing rkeys across protection domains
     — a silent-data-corruption bug on real hardware.
+
+Each of the other runtime rules has one home elsewhere: an orphan
+completion raises :class:`~repro.core.ib_plugin.WqeLogError` in the
+shadow layer (Principle 3), and replay balance — the re-posts equal the
+surviving logged set (Principle 6) — is the ``replay-balance`` trace
+invariant in :mod:`repro.obs.invariants`.
 
 ``strict`` (the default) raises :class:`ProtocolViolation` at the
 offending call; non-strict accumulates violations for ``summary()``.
@@ -33,18 +34,11 @@ offending call; non-strict accumulates violations for ``summary()``.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..ibverbs.enums import QpAttrMask, QpState, qp_transition_legal
 
-__all__ = [
-    "ProtocolViolation",
-    "ProtocolMonitor",
-    "install_monitor",
-    "uninstall_monitor",
-    "monitored",
-]
+__all__ = ["ProtocolViolation", "ProtocolMonitor"]
 
 
 class ProtocolViolation(AssertionError):
@@ -65,11 +59,6 @@ class ProtocolMonitor:
         #: application-visible QP state, tracked here because the shadow
         #: VirtualQp deliberately does not mirror it
         self._qp_state: Dict[int, QpState] = {}
-        #: state machine re-walked during restart replay (the re-created
-        #: real QP starts over from RESET)
-        self._replay_state: Dict[int, QpState] = {}
-        #: (id(log owner), kind) → reposts seen during the current replay
-        self._reposts: Counter = Counter()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -110,68 +99,25 @@ class ProtocolMonitor:
             return  # non-strict: do not advance through an illegal jump
         self._qp_state[id(vqp)] = new
 
-    # -- restart replay balance (Principles 3/6) -----------------------------
+    # -- restart replay (Principle 6) ----------------------------------------
 
-    def on_replay_begin(self, plugin: Any) -> None:
-        self.counts["replay_begin"] += 1
-        self._reposts = Counter()
-        self._replay_state = {}
-
-    def on_replay_modify(self, vqp: Any, attr: Any,
-                         mask: QpAttrMask) -> None:
-        self.counts["replay_modify"] += 1
-        if not mask & QpAttrMask.STATE:
-            return
-        old = self._replay_state.get(id(vqp), QpState.RESET)
-        new = attr.qp_state
-        if not qp_transition_legal(old, new):
-            self._violate(
-                "qp-state-machine",
-                f"replayed modify_qp walks an illegal transition "
-                f"{old.name} -> {new.name} on vqpn {vqp.qp_num}: the "
-                "modify log was poisoned before the checkpoint")
-            return
-        self._replay_state[id(vqp)] = new
-
-    def on_repost(self, owner: Any, kind: str) -> None:
-        self.counts[f"repost_{kind}"] += 1
-        self._reposts[(id(owner), kind)] += 1
-
-    def on_replay_done(self, plugin: Any) -> None:
-        self.counts["replay_done"] += 1
-        expected: List[Tuple[Any, str, int]] = []
-        for vsrq in plugin.srqs:
-            expected.append((vsrq, "recv", len(vsrq.recv_log)))
-        for vqp in plugin.qps:
-            expected.append((vqp, "recv", len(vqp.recv_log)))
-            expected.append((vqp, "send", len(vqp.send_log)))
-        for owner, kind, want in expected:
-            got = self._reposts.get((id(owner), kind), 0)
-            if got != want:
-                name = getattr(owner, "qp_num", None)
-                label = f"vqpn {name}" if name is not None else "srq"
+    def on_replay_qp(self, vqp: Any) -> None:
+        """Walk ``vqp.modify_log`` from RESET — the state the re-created
+        real QP starts in — before any of it is replayed."""
+        self.counts["replay_qp"] += 1
+        state = QpState.RESET
+        for attr, mask in vqp.modify_log:
+            if not mask & QpAttrMask.STATE:
+                continue
+            new = attr.qp_state
+            if not qp_transition_legal(state, new):
                 self._violate(
-                    "wqe-balance",
-                    f"restart replay re-posted {got} {kind} WQE(s) for "
-                    f"{label} but the surviving log holds {want}: replay "
-                    "must re-post exactly the logged set (Principle 6)")
-
-    # -- completion / drain balance (Principle 3) ----------------------------
-
-    def on_completion(self, vqp: Any, wc: Any) -> None:
-        self.counts["completion"] += 1
-
-    def on_orphan_completion(self, vqp: Any, wc: Any) -> None:
-        # The shadow layer raises WqeLogError itself; the monitor only
-        # records the event so summaries show it even when the error is
-        # swallowed upstream.
-        self.counts["violation:wqe-balance"] += 1
-        self.violations.append(
-            f"[wqe-balance] orphan completion wr_id {wc.wr_id:#x} on "
-            f"vqpn {vqp.qp_num}")
-
-    def on_write_ckpt(self, plugin: Any) -> None:
-        self.counts["write_ckpt"] += 1
+                    "qp-state-machine",
+                    f"replayed modify_qp walks an illegal transition "
+                    f"{state.name} -> {new.name} on vqpn {vqp.qp_num}: "
+                    "the modify log was poisoned before the checkpoint")
+                return
+            state = new
 
     # -- rkey translation (§3.2.2) -------------------------------------------
 
@@ -191,39 +137,3 @@ class ProtocolMonitor:
                 f"QP's pd {qinfo['pd']} but is registered under pd(s) "
                 f"{sorted(set(other_pds))}: rkeys are per-PD (§3.2.2) "
                 "and must not cross protection domains")
-
-    # -- checkpoint pipeline ---------------------------------------------------
-
-    def on_quiesce(self, name: str, epoch: int) -> None:
-        self.counts["quiesce"] += 1
-
-
-def install_monitor(monitor: ProtocolMonitor) -> Tuple[Any, Any]:
-    """Install ``monitor`` class-wide; returns the previous monitors so
-    nested installs (harness --analysis inside a monitored test run)
-    restore cleanly."""
-    from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.process import DmtcpProcess
-
-    prev = (InfinibandPlugin.monitor, DmtcpProcess.monitor)
-    InfinibandPlugin.monitor = monitor
-    DmtcpProcess.monitor = monitor
-    return prev
-
-
-def uninstall_monitor(prev: Tuple[Any, Any] = (None, None)) -> None:
-    from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.process import DmtcpProcess
-
-    InfinibandPlugin.monitor, DmtcpProcess.monitor = prev
-
-
-@contextmanager
-def monitored(strict: bool = True) -> Iterator[ProtocolMonitor]:
-    """Run a block under a fresh :class:`ProtocolMonitor`."""
-    monitor = ProtocolMonitor(strict=strict)
-    prev = install_monitor(monitor)
-    try:
-        yield monitor
-    finally:
-        uninstall_monitor(prev)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ... import instrument
 from ...dmtcp.costs import CostModel, DEFAULT_COSTS
 from ...dmtcp.events import DmtcpEvent
 from ...dmtcp.plugin import Plugin
@@ -33,7 +34,6 @@ from .errors import (
     NoInfinibandError,
     UnsupportedQpTypeError,
     VirtualIdConflictError,
-    WqeLogError,
 )
 from .shadow import (
     VirtualContext,
@@ -58,18 +58,6 @@ class InfinibandPlugin(Plugin):
     """DMTCP plugin for transparent checkpoint-restart over InfiniBand."""
 
     name = "infiniband"
-
-    #: opt-in runtime invariant checker (``repro.analysis.protocol``);
-    #: installed class-wide by ``install_monitor`` so tests and the chaos
-    #: harness validate the QP state machine, WQE-log balance, and per-PD
-    #: rkey translation on every run.  ``None`` costs one attribute read.
-    monitor = None
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``); installed class-wide
-    #: by ``install_tracer``, same contract as ``monitor``: drain rounds,
-    #: CQ refill hits, WQE replay re-posts, and the id re-exchange emit
-    #: timeline records when a tracer is attached.
-    tracer = None
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS,
                  allow_driver_reload: bool = False,
@@ -217,8 +205,8 @@ class InfinibandPlugin(Plugin):
         self.vqp_by_vqpn[vqpn] = vqp
         self.vqp_by_real_qpn[real.qp_num] = vqp
         self.registry_add(vqp)
-        if self.monitor is not None:
-            self.monitor.on_create_qp(vqp)
+        if instrument.monitor is not None:
+            instrument.monitor.on_create_qp(vqp)
         return vqp
 
     # -- id translation (§3.2) ------------------------------------------------------
@@ -238,8 +226,9 @@ class InfinibandPlugin(Plugin):
         qinfo = self.db.get(f"qp:{vqp.remote_vlid}/{vqp.remote_vqpn}")
         rkey = None if qinfo is None \
             else self.db.get(f"mr:{qinfo['pd']}:{vrkey}")
-        if self.monitor is not None:
-            self.monitor.on_translate_rkey(self, vqp, vrkey, qinfo, rkey)
+        if instrument.monitor is not None:
+            instrument.monitor.on_translate_rkey(self, vqp, vrkey, qinfo,
+                                                 rkey)
         return vrkey if rkey is None else rkey
 
     def translate_qp_attr(self, attr, mask: QpAttrMask,
@@ -277,22 +266,15 @@ class InfinibandPlugin(Plugin):
         vqp = self.vqp_by_real_qpn.get(wc.qp_num)
         if vqp is None:
             return
-        try:
-            if wc.opcode in _RECV_OPCODES:
-                log = vqp.vsrq.recv_log if vqp.vsrq is not None \
-                    else vqp.recv_log
-                log.complete_recv(wc.wr_id)
-            else:
-                # send completions are ordered: a signaled completion
-                # implies every earlier (possibly unsignaled) WQE on the
-                # QP completed
-                vqp.send_log.complete_send_upto(wc.wr_id)
-        except WqeLogError:
-            if self.monitor is not None:
-                self.monitor.on_orphan_completion(vqp, wc)
-            raise
-        if self.monitor is not None:
-            self.monitor.on_completion(vqp, wc)
+        if wc.opcode in _RECV_OPCODES:
+            log = vqp.vsrq.recv_log if vqp.vsrq is not None \
+                else vqp.recv_log
+            log.complete_recv(wc.wr_id)
+        else:
+            # send completions are ordered: a signaled completion
+            # implies every earlier (possibly unsignaled) WQE on the
+            # QP completed
+            vqp.send_log.complete_send_upto(wc.wr_id)
 
     # -- Principles 4/5: drain and refill ----------------------------------------------
 
@@ -310,10 +292,10 @@ class InfinibandPlugin(Plugin):
                     vcq.private_queue.append(self.translate_wc(wc))
                 drained += len(wcs)
         self.stats["drained_completions"] += drained
-        if self.tracer is not None:
-            self.tracer.emit("drain.round", self.appctx.name,
-                             self.appctx.env.now, drained=drained,
-                             cqs=len(self.cqs))
+        if instrument.tracer is not None:
+            instrument.tracer.emit("drain.round", self.appctx.name,
+                                   self.appctx.env.now, drained=drained,
+                                   cqs=len(self.cqs))
         return drained
 
     def arm_notify(self, vcq: VirtualCq):
@@ -359,8 +341,6 @@ class InfinibandPlugin(Plugin):
             for vqp in self.qps:
                 vqp.send_log.retain(
                     lambda e: not e.assume_complete_on_drain)
-            if self.monitor is not None:
-                self.monitor.on_write_ckpt(self)
         elif event is DmtcpEvent.RESTART:
             self._restart_recreate()
         elif event is DmtcpEvent.RESTART_REPLAY:
@@ -455,9 +435,9 @@ class InfinibandPlugin(Plugin):
         for vmr in self.mrs:
             entries[f"mr:{_pd_key(vmr.vpd.guid)}:{vmr.rkey}"] = \
                 vmr.real.rkey
-        if self.tracer is not None:
-            self.tracer.emit("ns.publish", self.appctx.name,
-                             self.appctx.env.now, entries=len(entries))
+        if instrument.tracer is not None:
+            instrument.tracer.emit("ns.publish", self.appctx.name,
+                                   self.appctx.env.now, entries=len(entries))
         return entries
 
     def ns_receive(self, db: Dict[str, Any]) -> None:
@@ -468,9 +448,9 @@ class InfinibandPlugin(Plugin):
         self._remote_real_to_vqpn = {
             info["qpn"]: int(key.split("/", 1)[1])
             for key, info in db.items() if key.startswith("qp:")}
-        if self.tracer is not None:
-            self.tracer.emit("ns.receive", self.appctx.name,
-                             self.appctx.env.now, entries=len(db))
+        if instrument.tracer is not None:
+            instrument.tracer.emit("ns.receive", self.appctx.name,
+                                   self.appctx.env.now, entries=len(db))
 
     # -- restart phase 2: replay (Principles 3 and 6) ------------------------------------------
 
@@ -478,10 +458,8 @@ class InfinibandPlugin(Plugin):
         if self.delegated:
             self.fallback.restart_replay()
             return
-        m = self.monitor
-        if m is not None:
-            m.on_replay_begin(self)
-        tracer = self.tracer
+        monitor = instrument.monitor
+        tracer = instrument.tracer
         replay_span = None
         reposted_before = (self.stats["reposted_recvs"]
                            + self.stats["reposted_sends"])
@@ -495,9 +473,9 @@ class InfinibandPlugin(Plugin):
                 expected=expected,
                 modifies=sum(len(vqp.modify_log) for vqp in self.qps))
         for vqp in self.qps:
+            if monitor is not None:
+                monitor.on_replay_qp(vqp)
             for attr, mask in vqp.modify_log:
-                if m is not None:
-                    m.on_replay_modify(vqp, attr, mask)
                 self.real_lib.modify_qp(
                     vqp.real, self.translate_qp_attr(attr, mask, vqp), mask)
                 self.stats["replayed_modifies"] += 1
@@ -506,25 +484,17 @@ class InfinibandPlugin(Plugin):
                 self.real_lib.post_srq_recv(
                     vsrq.real, self.wrapped._translate_recv_wr(entry.wr))
                 self.stats["reposted_recvs"] += 1
-                if m is not None:
-                    m.on_repost(vsrq, "recv")
         for vqp in self.qps:
             for entry in vqp.recv_log:
                 vqp.context.real_ops.post_recv(
                     vqp.real, self.wrapped._translate_recv_wr(entry.wr))
                 self.stats["reposted_recvs"] += 1
-                if m is not None:
-                    m.on_repost(vqp, "recv")
         for vqp in self.qps:
             for entry in vqp.send_log:
                 vqp.context.real_ops.post_send(
                     vqp.real,
                     self.wrapped._translate_send_wr(vqp, entry.wr))
                 self.stats["reposted_sends"] += 1
-                if m is not None:
-                    m.on_repost(vqp, "send")
-        if m is not None:
-            m.on_replay_done(self)
         if tracer is not None:
             expected_now = sum(len(vsrq.recv_log) for vsrq in self.srqs) \
                 + sum(len(vqp.recv_log) + len(vqp.send_log)

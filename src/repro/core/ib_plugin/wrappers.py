@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, List, Optional
 
+from ... import instrument
 from ...ibverbs.enums import (
     QpAttrMask,
     QpType,
@@ -175,7 +176,7 @@ class WrappedVerbs:
 
     def modify_qp(self, vqp: VirtualQp, attr, mask: QpAttrMask) -> None:
         self._charge()
-        monitor = self.plugin.monitor
+        monitor = instrument.monitor
         if monitor is not None:
             # validate against the shared transition table before the call
             # is logged or forwarded — an illegal jump must not poison the
@@ -194,8 +195,8 @@ class WrappedVerbs:
         self._charge()
         self._real.destroy_qp(vqp.real)
         self.plugin.registry_remove(vqp)
-        if self.plugin.monitor is not None:
-            self.plugin.monitor.on_destroy_qp(vqp)
+        if instrument.monitor is not None:
+            instrument.monitor.on_destroy_qp(vqp)
 
     def post_send(self, vqp: VirtualQp, wr: ibv_send_wr) -> None:
         """Inline function → dispatch through the (plugin's) ops table."""
@@ -261,7 +262,7 @@ class WrappedVerbs:
             for wc in real_wcs:
                 self.plugin.bookkeep_completion(wc)
                 out.append(self.plugin.translate_wc(wc))
-        tracer = self.plugin.tracer
+        tracer = instrument.tracer
         if tracer is not None and (private_before > 0 or len(out)
                                    > served_private):
             # empty polls are not recorded — only refill activity and

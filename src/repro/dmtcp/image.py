@@ -33,10 +33,11 @@ import pickle
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from .. import instrument
 from ..memory import CHUNK_BYTES, AddressSpace
 
 __all__ = ["CheckpointImage", "ImageError", "CAPTURE_CHUNK_BYTES"]
@@ -103,18 +104,13 @@ class CheckpointImage:
     #: (not meaningful after from_bytes round-trips of old images)
     capture_stats: dict = field(default_factory=dict)
 
-    #: opt-in ChunkSan oracle (``repro.analysis.chunksan``), installed
-    #: class-wide by ``install_chunksan`` like ``DmtcpProcess.tracer`` —
-    #: this module never imports ``repro.analysis``
-    chunksan: ClassVar[Optional[object]] = None
-
     @classmethod
     def capture(cls, proc_name: str, pid: int, kernel_version: str,
                 hca_vendor: Optional[str], memory: AddressSpace,
                 gzip: bool = True, checkpointer: str = "dmtcp",
                 header_bytes: float = 0.0,
                 prev: Optional["CheckpointImage"] = None,
-                workers: int = 0, tracer=None,
+                workers: int = 0,
                 t_sim: float = 0.0) -> "CheckpointImage":
         """Capture ``memory``, incrementally against ``prev`` if given.
 
@@ -122,17 +118,19 @@ class CheckpointImage:
         a shared thread pool; 0 keeps the pipeline serial (chunked either
         way).  The restored memory is bit-identical in every mode.
 
-        ``tracer``/``t_sim`` come from the caller (``DmtcpProcess``
-        passes its class-wide tracer and ``env.now``): this module never
-        imports ``repro.obs`` and never reads a clock — the tracer stamps
-        wall time itself, and capture advances no simulated time.
+        The tracer and ChunkSan come from the :mod:`repro.instrument`
+        slots and ``t_sim`` from the caller (``env.now``): this module
+        never imports ``repro.obs``/``repro.analysis`` and never reads a
+        clock — the tracer stamps wall time itself, and capture advances
+        no simulated time.
         """
-        san = cls.chunksan
+        tracer = instrument.tracer
+        san = instrument.chunksan
         if san is not None:
             # audit the stamps *before* this capture trusts them for the
             # clean proof below; charges zero simulated time
             san.check_capture(proc_name, memory, context="capture",
-                              tracer=tracer, t_sim=t_sim)
+                              t_sim=t_sim)
 
         prev_snap: Dict[str, dict] = {}
         prev_meta: Dict[str, dict] = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from .. import instrument
 from ..hardware.node import Node, ProcessHost
 from ..hardware.storage import QuotaExceededError
 from ..memory import AddressSpace
@@ -106,18 +107,11 @@ class CheckpointRecord:
 
 
 class DmtcpProcess:
-    """One application process running under dmtcp_launch."""
+    """One application process running under dmtcp_launch.
 
-    #: opt-in runtime invariant checker (``repro.analysis.protocol``),
-    #: notified when a checkpoint quiesces the process.  Installed
-    #: class-wide, like ``InfinibandPlugin.monitor``.
-    monitor = None
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``: the checkpoint pipeline (quiesce, drain,
-    #: settle, capture, write) and the restart flow emit timeline spans
-    #: when a tracer is attached.
-    tracer = None
+    With a tracer in the :mod:`repro.instrument` slot, the checkpoint
+    pipeline (quiesce, drain, settle, capture, write) and the restart
+    flow emit timeline spans."""
 
     def __init__(self, host: ProcessHost, name: str, rank: int, world: int,
                  plugins: List[Plugin], costs: CostModel = DEFAULT_COSTS,
@@ -194,7 +188,7 @@ class DmtcpProcess:
     def _do_checkpoint(self, intent: str, epoch: int = 0) -> Generator:
         t0 = self.env.now
         self.ckpt_error = None
-        tracer = self.tracer
+        tracer = instrument.tracer
         gen = self.appctx.restarts
         ckpt_span = quiesce_span = None
         if tracer is not None:
@@ -214,8 +208,6 @@ class DmtcpProcess:
                 thread.suspend()
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.SUSPEND)
-        if self.monitor is not None:
-            self.monitor.on_quiesce(self.name, epoch)
         yield from self.client.barrier("suspended")
         drain_span = None
         if tracer is not None:
@@ -269,8 +261,7 @@ class DmtcpProcess:
             kernel_version=self.host.node.kernel_version,
             hca_vendor=hca_vendor, memory=self.host.memory,
             gzip=self.gzip, header_bytes=self.costs.image_header_bytes,
-            prev=prev, workers=self.ckpt_workers,
-            tracer=tracer, t_sim=self.env.now)
+            prev=prev, workers=self.ckpt_workers, t_sim=self.env.now)
         if tracer is not None:
             cstats = image.capture_stats
             # chunk-level dirty accounting (metrics always; span attrs
@@ -444,7 +435,7 @@ class DmtcpProcess:
 
     def restart_flow(self, coord_host: str, coord_port: int) -> Generator:
         """Process generator: the RESTART protocol (hooks + ns exchange)."""
-        tracer = self.tracer
+        tracer = instrument.tracer
         restart_span = None if tracer is None else tracer.begin(
             "restart", self.name, self.env.now, gen=self.appctx.restarts)
         self.client = yield from CoordinatorClient.connect(

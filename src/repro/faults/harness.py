@@ -28,6 +28,7 @@ from ..apps.nas import ft_app, lu_app
 from ..core import InfinibandPlugin
 from ..dmtcp import DEFAULT_COSTS, CostModel, dmtcp_launch, dmtcp_restart
 from ..hardware import BUFFALO_CCR, Cluster, HardwareSpec
+from ..instrument import installed
 from ..mpi import make_mpi_specs
 from ..sim import Environment, RngFactory
 from .injector import FailureRecord, Injector
@@ -38,6 +39,7 @@ from .schedule import (FailureEvent, FailureSchedule, FixedSchedule,
 
 __all__ = [
     "ChaosOutcome",
+    "instrumented",
     "run_chaos_nas",
     "verify_restart_path",
     "young_daly_interval",
@@ -46,34 +48,27 @@ __all__ = [
 _APPS = {"lu": lu_app, "ft": ft_app, "ml": ml_app}
 
 
-def _maybe_monitored(analysis: bool):
-    """Context manager: a fresh strict ProtocolMonitor when ``analysis``
-    is on, a no-op otherwise.  Imported lazily — ``faults`` must not
-    depend on ``analysis`` unless the caller opts in."""
-    if not analysis:
-        return contextlib.nullcontext(None)
-    from ..analysis.protocol import monitored
-    return monitored(strict=True)
-
-
-def _maybe_traced(trace: bool):
-    """Context manager: a fresh class-wide lifecycle Tracer when
-    ``trace`` is on, a no-op otherwise.  Imported lazily — ``faults``
-    must not depend on ``obs`` unless the caller opts in."""
-    if not trace:
-        return contextlib.nullcontext(None)
-    from ..obs.trace import traced
-    return traced()
-
-
-def _maybe_chunksan(chunksan: bool):
-    """Context manager: a fresh class-wide ChunkSan oracle when
-    ``chunksan`` is on, a no-op otherwise.  Imported lazily — same
-    opt-in contract as ``_maybe_monitored``/``_maybe_traced``."""
-    if not chunksan:
-        return contextlib.nullcontext(None)
-    from ..analysis.chunksan import sanitized
-    return sanitized()
+@contextlib.contextmanager
+def instrumented(analysis: bool = False, trace: bool = False,
+                 chunksan: bool = False):
+    """Run a block under a fresh strict ProtocolMonitor (``analysis``),
+    lifecycle Tracer (``trace``) and/or ChunkSan (``chunksan``) in the
+    :mod:`repro.instrument` slots; yields ``(monitor, tracer, san)``,
+    ``None`` for each flag that is off (its slot is left as it was).
+    Imported lazily — ``faults`` depends on ``analysis``/``obs`` only
+    when the caller opts in."""
+    monitor = tracer = san = None
+    if analysis:
+        from ..analysis.protocol import ProtocolMonitor
+        monitor = ProtocolMonitor(strict=True)
+    if trace:
+        from ..obs.trace import Tracer
+        tracer = Tracer()
+    if chunksan:
+        from ..analysis.chunksan import ChunkSan
+        san = ChunkSan()
+    with installed(tracer=tracer, monitor=monitor, chunksan=san):
+        yield monitor, tracer, san
 
 
 def young_daly_interval(mtbf_job: float, ckpt_cost: float) -> float:
@@ -186,9 +181,7 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
         env, cluster_factory, specs_for, config, costs=costs,
         plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
         injector=injector, rng=rng)
-    with _maybe_monitored(analysis) as monitor, \
-            _maybe_traced(trace) as tracer, \
-            _maybe_chunksan(chunksan) as san:
+    with instrumented(analysis, trace, chunksan) as (monitor, tracer, san):
         recovery = env.run(until=env.process(manager.run()))
     injector.stop()
     return ChaosOutcome(
@@ -256,7 +249,7 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
         results = yield from session2.wait()
         return record, results
 
-    with _maybe_monitored(analysis) as monitor:
+    with instrumented(analysis=analysis) as (monitor, _tracer, _san):
         record, results = env.run(until=env.process(scenario()))
 
     counters = {key: sum(p.stats[key] for p in plugins)

@@ -32,7 +32,7 @@ from ..apps.nas import lu_app
 from ..core import InfinibandPlugin
 from ..dmtcp import DEFAULT_COSTS, CostModel, dmtcp_launch
 from ..dmtcp.launcher import JobTracker
-from ..faults.harness import _maybe_traced
+from ..faults.harness import instrumented
 from ..faults.injector import Injector
 from ..faults.recovery import (ChaosGate, ChaosPlugin, RecoveryConfig,
                                RecoveryManager, RecoveryOutcome)
@@ -191,7 +191,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         results = yield from result.session.wait()
         return result, results
 
-    with _maybe_traced(trace) as tracer:
+    with instrumented(trace=trace) as (_monitor, tracer, _san):
         result, results = env.run(until=env.process(scenario()))
     if injector is not None:
         injector.stop()
@@ -288,7 +288,7 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         store.stop()
         return results, pagers
 
-    with _maybe_traced(trace) as tracer:
+    with instrumented(trace=trace) as (_monitor, tracer, _san):
         results, pagers = env.run(until=env.process(scenario()))
     if injector is not None:
         injector.stop()
@@ -337,7 +337,7 @@ def run_elastic_lu(seed: int = 2014, klass: str = "A", nprocs: int = 8,
         results = yield from session2.wait()
         return results, node_map
 
-    with _maybe_traced(trace) as tracer:
+    with instrumented(trace=trace) as (_monitor, tracer, _san):
         results, node_map = env.run(until=env.process(scenario()))
     tracker.kill_all()
     return {

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
+from .. import instrument
 from ..dmtcp.launcher import DmtcpSession, dmtcp_restart
 from ..hardware.cluster import Cluster
 from ..memory import CHUNK_BYTES
@@ -94,14 +95,6 @@ class MigrationResult:
 class MigrationManager:
     """Drives one live pre-copy migration (see module docstring)."""
 
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
-    tracer = None
-    #: opt-in ChunkSan oracle (``repro.analysis.chunksan``), installed
-    #: class-wide by ``install_chunksan``: audits the chunk fingerprints
-    #: each pre-copy round ships before they decide what rides the wire
-    chunksan = None
-
     def __init__(self, session: DmtcpSession, target: Cluster,
                  config: Optional[MigrationConfig] = None,
                  node_map: Optional[Dict[int, int]] = None,
@@ -134,11 +127,11 @@ class MigrationManager:
         hash list, dirty logical bytes)], logical bytes scanned) — only
         the dirty chunks' bytes ride the round's wire, while the scan is
         still charged for the whole working set."""
-        if self.chunksan is not None:
-            self.chunksan.check_capture(
+        if instrument.chunksan is not None:
+            # audit the chunk stamps before they decide what rides the wire
+            instrument.chunksan.check_capture(
                 getattr(proc, "name", str(proc)), proc.host.memory,
-                context="migrate.round", tracer=self.tracer,
-                t_sim=self.env.now)
+                context="migrate.round", t_sim=self.env.now)
         dirty = []
         scanned = 0.0
         for region in proc.host.memory:
@@ -165,7 +158,7 @@ class MigrationManager:
         target-restart pipeline; returns a :class:`MigrationResult`."""
         env = self.env
         cfg = self.config
-        tracer = self.tracer
+        tracer = instrument.tracer
         procs = self.session.procs
         t_start = env.now
         span = None if tracer is None else tracer.begin(

@@ -4,10 +4,9 @@ Structured tracing (:mod:`.trace`), metrics (:mod:`.metrics`), trace
 invariants (:mod:`.invariants`), and the Table 2-style per-phase report
 (:mod:`.report` / ``python -m repro.obs report``).
 
-Hooked into the simulation the same way :mod:`repro.analysis` is: a
-``tracer`` class attribute installed class-wide by
-:func:`install_tracer` — the instrumented packages never import this
-one.
+A :class:`Tracer` reaches the simulation through the ``tracer`` slot of
+:mod:`repro.instrument` (``installed(tracer=...)`` or :func:`traced`) —
+the instrumented packages never import this one.
 """
 
 from .invariants import (
@@ -26,12 +25,11 @@ from .report import (decompose, migration_summary, render,
                      render_migration, render_store, store_summary,
                      trace_scenario)
 from .trace import (
+    TraceFormatError,
     Tracer,
     canonicalize,
-    install_tracer,
     load_trace,
     traced,
-    uninstall_tracer,
 )
 
 __all__ = [
@@ -39,13 +37,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "TraceFormatError",
     "Tracer",
     "TraceInvariantViolation",
     "assert_trace_invariants",
     "canonicalize",
     "check_trace_invariants",
     "decompose",
-    "install_tracer",
     "load_trace",
     "migration_summary",
     "render",
@@ -55,5 +53,4 @@ __all__ = [
     "store_summary",
     "trace_scenario",
     "traced",
-    "uninstall_tracer",
 ]

@@ -8,18 +8,23 @@ Usage::
     PYTHONPATH=src python -m repro.obs report --run ft --crash-at 6
     PYTHONPATH=src python -m repro.obs report --trace run.jsonl
     PYTHONPATH=src python -m repro.obs report --sink run.jsonl --json
+
+Exits 0 on a clean trace, 1 on any trace-invariant violation, 2 when a
+saved ``--trace`` cannot be read (missing file, truncated or malformed
+record — the message names the file and line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 from .invariants import check_trace_invariants
 from .report import (decompose, render, render_service, render_sim,
                      render_store, service_summary, store_summary,
                      trace_scenario)
-from .trace import load_trace
+from .trace import TraceFormatError, load_trace
 
 
 def main(argv=None) -> int:
@@ -70,7 +75,11 @@ def main(argv=None) -> int:
     counters = {}
     sim_stats = None
     if args.trace is not None:
-        events = load_trace(args.trace)
+        try:
+            events = load_trace(args.trace)
+        except (OSError, TraceFormatError) as exc:
+            print(f"python -m repro.obs: {exc}", file=sys.stderr)
+            return 2
         dropped = 0
     elif args.service:
         from ..obs.trace import traced

@@ -1,14 +1,12 @@
 """Checkpoint-lifecycle tracer: typed span/event records with sim-clock
 and wall-clock timestamps.
 
-The tracer is attached exactly like :class:`~repro.analysis.protocol.
-ProtocolMonitor`: a ``tracer`` class attribute on the instrumented
-classes (``InfinibandPlugin``, ``DmtcpProcess``, ``Coordinator``,
-``RecoveryManager``, ``Injector``, ``CheckpointStore`` — and through
-it ``CheckpointService`` — ``MigrationManager``, ``PostCopyPager``,
-``GangScheduler``), installed class-wide by
-:func:`install_tracer` — ``core``/``dmtcp``/``faults``/``migrate`` never
-import ``obs``.  ``None`` costs one attribute read per hook site.
+The tracer sits in the ``tracer`` slot of :mod:`repro.instrument`
+(``installed(tracer=Tracer())``, or :func:`traced` for a fresh one), next
+to the protocol monitor and ChunkSan; the instrumented packages
+(``core``/``dmtcp``/``faults``/``migrate``/``store``/``service``) read
+the slot and never import ``obs``.  ``None`` costs one attribute read
+per hook site.
 
 Timestamp discipline: instrumented code passes its *simulated* clock
 reading (``env.now``) explicitly as ``t_sim``; the tracer stamps the
@@ -46,12 +44,12 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..instrument import installed
 from .metrics import MetricsRegistry
 
 __all__ = [
     "Tracer",
-    "install_tracer",
-    "uninstall_tracer",
+    "TraceFormatError",
     "traced",
     "canonicalize",
     "load_trace",
@@ -169,74 +167,48 @@ def canonicalize(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
              if k not in VOLATILE_KEYS} for event in events]
 
 
+#: fields every record carries and the invariant checks index directly
+_REQUIRED_KEYS = ("kind", "ev", "proc")
+
+
+class TraceFormatError(ValueError):
+    """A trace file line is not a JSON record with the required fields."""
+
+
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """Read a JSONL trace written by a :class:`Tracer` sink (or a
-    checked-in golden trace)."""
+    checked-in golden trace).  Raises :class:`TraceFormatError` naming
+    the file and line of the first record that is not valid JSON (a
+    truncated line) or lacks a string ``kind``/``ev``/``proc``."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: not a JSON record ({exc.msg})"
+                ) from None
+            if not isinstance(record, dict):
+                raise TraceFormatError(
+                    f"{path}:{lineno}: record is not a JSON object")
+            for key in _REQUIRED_KEYS:
+                if not isinstance(record.get(key), str):
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: record has no string {key!r}")
+            records.append(record)
     return records
-
-
-# -- installation (mirrors repro.analysis.protocol.install_monitor) -----------
-
-def install_tracer(tracer: Tracer) -> Tuple[Any, ...]:
-    """Install ``tracer`` class-wide on every instrumented class;
-    returns the previous tracers so nested installs restore cleanly."""
-    from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.coordinator import Coordinator
-    from ..dmtcp.process import DmtcpProcess
-    from ..faults.injector import Injector
-    from ..faults.recovery import RecoveryManager
-    from ..migrate.manager import MigrationManager
-    from ..migrate.postcopy import PostCopyPager
-    from ..service.scheduler import GangScheduler
-    from ..store.store import CheckpointStore
-
-    # CheckpointService subclasses CheckpointStore and *inherits* the
-    # class attribute, so the service lights up through the store entry
-    classes = (InfinibandPlugin, DmtcpProcess, Coordinator,
-               RecoveryManager, Injector, CheckpointStore,
-               MigrationManager, PostCopyPager, GangScheduler)
-    prev = tuple(klass.tracer for klass in classes)
-    for klass in classes:
-        klass.tracer = tracer
-    return prev
-
-
-def uninstall_tracer(prev: Tuple[Any, ...] = (None,) * 9) -> None:
-    from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.coordinator import Coordinator
-    from ..dmtcp.process import DmtcpProcess
-    from ..faults.injector import Injector
-    from ..faults.recovery import RecoveryManager
-    from ..migrate.manager import MigrationManager
-    from ..migrate.postcopy import PostCopyPager
-    from ..service.scheduler import GangScheduler
-    from ..store.store import CheckpointStore
-
-    classes = (InfinibandPlugin, DmtcpProcess, Coordinator,
-               RecoveryManager, Injector, CheckpointStore,
-               MigrationManager, PostCopyPager, GangScheduler)
-    # pad: a caller holding a prev tuple from before a class was added
-    # must still restore cleanly
-    prev = tuple(prev) + (None,) * (len(classes) - len(prev))
-    for klass, tracer in zip(classes, prev):
-        klass.tracer = tracer
 
 
 @contextmanager
 def traced(sink: Optional[str] = None,
            capacity: int = DEFAULT_RING_CAPACITY,
            metrics: Optional[MetricsRegistry] = None) -> Iterator[Tracer]:
-    """Run a block under a fresh class-wide :class:`Tracer`."""
-    tracer = Tracer(capacity=capacity, sink=sink, metrics=metrics)
-    prev = install_tracer(tracer)
-    try:
+    """Run a block under a fresh :class:`Tracer` in the instrumentation
+    slot; closes its sink on exit."""
+    with Tracer(capacity=capacity, sink=sink, metrics=metrics) as tracer, \
+            installed(tracer=tracer):
         yield tracer
-    finally:
-        uninstall_tracer(prev)
-        tracer.close()

@@ -24,10 +24,10 @@
   manifest references.
 
 The store never uses OS threads — replication runs as simulation
-processes — and, like the rest of the instrumented stack, carries an
-opt-in class-wide ``tracer`` (``store.put`` / ``store.replicate`` /
-``store.fetch`` spans, ``store.corrupt`` / ``store.heal`` /
-``store.gc`` points) installed by :func:`repro.obs.trace.install_tracer`.
+processes — and, like the rest of the instrumented stack, reports to
+the opt-in tracer in the :mod:`repro.instrument` slot (``store.put`` /
+``store.replicate`` / ``store.fetch`` spans, ``store.corrupt`` /
+``store.heal`` / ``store.gc`` points).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from .. import instrument
 from ..dmtcp.image import CheckpointImage
 from ..hardware.cluster import Cluster
 from ..hardware.storage import FileSystem, StorageError
@@ -80,10 +81,6 @@ class PutResult:
 
 class CheckpointStore:
     """One job's multi-tier checkpoint store (see module docstring)."""
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
-    tracer = None
 
     def __init__(self, cluster: Cluster, config: StoreConfig = StoreConfig(),
                  name: str = "store"):
@@ -250,7 +247,7 @@ class CheckpointStore:
         :class:`PutResult`.
         """
         epoch = epoch + self._epoch_offset
-        tracer = self.tracer
+        tracer = instrument.tracer
         disk = self.local.replica_disk(node_index)
         fs = disk.fs
         result = PutResult(epoch=epoch, manifest_path="")
@@ -321,7 +318,7 @@ class CheckpointStore:
 
     def _replicate_flow(self, epoch: int, manifests: List[Manifest]
                         ) -> Generator:
-        tracer = self.tracer
+        tracer = instrument.tracer
         span = None if tracer is None else tracer.begin(
             "store.replicate", self.name, self.env.now, epoch=epoch,
             manifests=len(manifests))
@@ -428,7 +425,7 @@ class CheckpointStore:
         ``(data, tier_kind)``; raises :class:`StoreError` when no live
         tier holds a valid copy.  This is the unit of work the restart
         fetch and the post-copy pager/prefetcher share."""
-        tracer = self.tracer
+        tracer = instrument.tracer
         proc_name = manifest.proc_name
         epoch = manifest.epoch
         path = chunk_path(ref.digest)
@@ -496,7 +493,7 @@ class CheckpointStore:
         if epoch is None:
             epoch = self.latest_epoch(proc_name)
         manifest = self.manifest(proc_name, epoch)
-        tracer = self.tracer
+        tracer = instrument.tracer
         hits = {"local": 0, "partner": 0, "lustre": 0}
         span = None if tracer is None else tracer.begin(
             "store.fetch", proc_name, self.env.now, epoch=epoch,
@@ -570,9 +567,9 @@ class CheckpointStore:
                 retired += 1
         self.stats["gc_manifests"] += retired
         self.stats["gc_chunks"] += deleted
-        if retired and self.tracer is not None:
-            self.tracer.emit("store.gc", self.name, self.env.now,
-                             manifests=retired, chunks=deleted)
+        if retired and instrument.tracer is not None:
+            instrument.tracer.emit("store.gc", self.name, self.env.now,
+                                   manifests=retired, chunks=deleted)
         return retired, deleted
 
     # -- staging (offline, like CheckpointSet.stage_to) ------------------------

@@ -6,27 +6,25 @@ from typing import List
 
 import pytest
 
-from repro.analysis import ProtocolMonitor, install_monitor, uninstall_monitor
+from repro.analysis import ProtocolMonitor
 from repro.hardware import BUFFALO_CCR, Cluster, HardwareSpec, ProcessHost
 from repro.ibverbs import (
     AccessFlags,
     VerbsLib,
     ibv_qp_init_attr,
 )
+from repro.instrument import installed
 from repro.sim import Environment
 
 
 @pytest.fixture(autouse=True)
 def protocol_monitor():
     """Every test runs under a fresh strict ProtocolMonitor: any QP
-    state-machine, WQE-balance, or rkey-PD violation in the shadow
-    layer fails the test at the offending call."""
+    state-machine (application or replayed modify) or rkey-PD violation
+    in the shadow layer fails the test at the offending call."""
     monitor = ProtocolMonitor(strict=True)
-    prev = install_monitor(monitor)
-    try:
+    with installed(monitor=monitor):
         yield monitor
-    finally:
-        uninstall_monitor(prev)
 
 
 @pytest.fixture(autouse=True)
@@ -42,12 +40,9 @@ def trace_invariants(request):
         yield None
         return
     from obs_asserts import TraceAssertions
-    harness = TraceAssertions().install()
-    try:
+    with TraceAssertions() as harness:
         yield harness
-    finally:
-        harness.uninstall()
-        harness.assert_clean()
+    harness.assert_clean()
 
 
 @pytest.fixture(autouse=True)
@@ -62,8 +57,9 @@ def chunksan_oracle(request):
     if not (marked or os.environ.get("REPRO_CHUNKSAN") == "1"):
         yield None
         return
-    from repro.analysis.chunksan import sanitized
-    with sanitized() as san:
+    from repro.analysis.chunksan import ChunkSan
+    san = ChunkSan()
+    with installed(chunksan=san):
         yield san
 
 

@@ -1,9 +1,9 @@
 """TraceAssertions: the trace-invariant harness for tests.
 
-Wraps a :class:`repro.obs.Tracer` installed class-wide (coordinator,
-plugin, dmtcp process, recovery manager, injector) plus the ordering
-invariants of :mod:`repro.obs.invariants`, with convenience accessors
-for asserting on the recorded lifecycle directly.  The autouse
+Wraps a :class:`repro.obs.Tracer` installed in the
+:mod:`repro.instrument` tracer slot plus the ordering invariants of
+:mod:`repro.obs.invariants`, with convenience accessors for asserting on
+the recorded lifecycle directly.  The autouse
 ``trace_invariants`` fixture in ``conftest.py`` runs every test under
 one of these and asserts a clean trace at teardown; tests that need the
 raw harness (ordering assertions, golden traces) take the fixture as an
@@ -12,13 +12,8 @@ argument.
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs import (
-    Tracer,
-    check_trace_invariants,
-    install_tracer,
-    split_segments,
-    uninstall_tracer,
-)
+from repro.instrument import installed
+from repro.obs import Tracer, check_trace_invariants, split_segments
 from repro.obs.invariants import TraceInvariantViolation
 
 __all__ = ["TraceAssertions", "assert_ordering_in", "events_of_kind"]
@@ -54,28 +49,20 @@ def assert_ordering_in(events: List[Dict[str, Any]], proc: str,
 
 
 class TraceAssertions:
-    """A class-wide tracer plus invariant checks, as one object."""
+    """An installed tracer plus invariant checks, as one object."""
 
     def __init__(self, capacity: int = 1 << 16):
         self.tracer = Tracer(capacity=capacity)
-        self._prev: Optional[tuple] = None
+        self._installed = installed(tracer=self.tracer)
 
     # -- lifecycle ------------------------------------------------------------
 
-    def install(self) -> "TraceAssertions":
-        self._prev = install_tracer(self.tracer)
+    def __enter__(self) -> "TraceAssertions":
+        self._installed.__enter__()
         return self
 
-    def uninstall(self) -> None:
-        if self._prev is not None:
-            uninstall_tracer(self._prev)
-            self._prev = None
-
-    def __enter__(self) -> "TraceAssertions":
-        return self.install()
-
     def __exit__(self, *exc) -> None:
-        self.uninstall()
+        self._installed.__exit__(*exc)
 
     # -- accessors ------------------------------------------------------------
 

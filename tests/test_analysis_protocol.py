@@ -1,23 +1,21 @@
 """The runtime ProtocolMonitor: each invariant raises on a seeded
 violation, stays silent on the legal path, and the chaos harness runs
-violation-free under it."""
+violation-free under it.  Orphan completions are the shadow layer's own
+WqeLogError; replay balance is the ``replay-balance`` trace invariant
+(``test_obs_invariants``)."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import (
-    ProtocolMonitor,
-    ProtocolViolation,
-    install_monitor,
-    monitored,
-    uninstall_monitor,
-)
+from repro import instrument
+from repro.analysis import ProtocolMonitor, ProtocolViolation
 from repro.core.ib_plugin import InfinibandPlugin, WqeLogError
 from repro.core.ib_plugin.shadow import WqeLog
 from repro.dmtcp import AppSpec, dmtcp_launch
 from repro.faults.harness import verify_restart_path
 from repro.hardware import BUFFALO_CCR, Cluster
+from repro.instrument import installed
 from repro.ibverbs import (
     QpAttrMask,
     QpState,
@@ -58,12 +56,14 @@ def test_illegal_qp_jump_raises():
 
 
 def test_illegal_replayed_modify_raises():
+    """The replayed log is walked from RESET (the re-created QP's state)
+    before any of it is replayed: INIT -> RTS skips RTR."""
     monitor = ProtocolMonitor(strict=True)
-    vqp = _vqp()
-    monitor.on_replay_begin(SimpleNamespace(qps=[], srqs=[]))
-    monitor.on_replay_modify(vqp, _attr(QpState.INIT), QpAttrMask.STATE)
+    vqp = _vqp(modify_log=[(_attr(QpState.INIT), QpAttrMask.STATE),
+                           (SimpleNamespace(), QpAttrMask.PORT),
+                           (_attr(QpState.RTS), QpAttrMask.STATE)])
     with pytest.raises(ProtocolViolation, match="poisoned"):
-        monitor.on_replay_modify(vqp, _attr(QpState.RTS), QpAttrMask.STATE)
+        monitor.on_replay_qp(vqp)
 
 
 def test_illegal_modify_qp_through_wrapped_stack(protocol_monitor):
@@ -97,40 +97,16 @@ def test_illegal_modify_qp_through_wrapped_stack(protocol_monitor):
     assert protocol_monitor.counts["violation:qp-state-machine"] == 1
 
 
-# -- wqe-balance ---------------------------------------------------------------
+# -- orphan completions: the shadow layer's own check -------------------------
 
 
-def test_orphan_completion_raises_and_is_recorded(protocol_monitor):
+def test_orphan_completion_raises_wqe_log_error():
     plugin = InfinibandPlugin()
     vqp = _vqp(n=42, vsrq=None, recv_log=WqeLog(), send_log=WqeLog())
     plugin.vqp_by_real_qpn[42] = vqp
     wc = SimpleNamespace(qp_num=42, wr_id=0x7, opcode=WcOpcode.RECV)
-    with pytest.raises(WqeLogError, match="orphan"):
+    with pytest.raises(WqeLogError, match="orphan completion: wr_id 0x7"):
         plugin.bookkeep_completion(wc)
-    assert any("wqe-balance" in v for v in protocol_monitor.violations)
-
-
-def test_replay_repost_imbalance_raises():
-    monitor = ProtocolMonitor(strict=True)
-    vqp = _vqp(recv_log=[object(), object()], send_log=[])
-    plugin = SimpleNamespace(qps=[vqp], srqs=[])
-    monitor.on_replay_begin(plugin)
-    monitor.on_repost(vqp, "recv")  # only one of the two logged WQEs
-    with pytest.raises(ProtocolViolation, match="wqe-balance"):
-        monitor.on_replay_done(plugin)
-
-
-def test_replay_repost_balance_is_silent():
-    monitor = ProtocolMonitor(strict=True)
-    vqp = _vqp(recv_log=[object()], send_log=[object()])
-    srq = SimpleNamespace(recv_log=[object()])
-    plugin = SimpleNamespace(qps=[vqp], srqs=[srq])
-    monitor.on_replay_begin(plugin)
-    monitor.on_repost(srq, "recv")
-    monitor.on_repost(vqp, "recv")
-    monitor.on_repost(vqp, "send")
-    monitor.on_replay_done(plugin)
-    assert monitor.violations == []
 
 
 # -- rkey-pd -------------------------------------------------------------------
@@ -173,40 +149,45 @@ def test_non_strict_accumulates_instead_of_raising():
 
 
 def test_monitored_restores_previous_monitor(protocol_monitor):
-    from repro.dmtcp.process import DmtcpProcess
-
-    assert InfinibandPlugin.monitor is protocol_monitor
-    with monitored() as inner:
-        assert InfinibandPlugin.monitor is inner
-        assert DmtcpProcess.monitor is inner
-        with monitored() as innermost:
-            assert InfinibandPlugin.monitor is innermost
-        assert InfinibandPlugin.monitor is inner
-    assert InfinibandPlugin.monitor is protocol_monitor
-    assert DmtcpProcess.monitor is protocol_monitor
+    assert instrument.monitor is protocol_monitor
+    inner = ProtocolMonitor()
+    with installed(monitor=inner):
+        assert instrument.monitor is inner
+        innermost = ProtocolMonitor()
+        with installed(monitor=innermost):
+            assert instrument.monitor is innermost
+        assert instrument.monitor is inner
+    assert instrument.monitor is protocol_monitor
 
 
 def test_install_uninstall_roundtrip():
+    prev = instrument.monitor
     mine = ProtocolMonitor()
-    prev = install_monitor(mine)
-    try:
-        assert InfinibandPlugin.monitor is mine
-    finally:
-        uninstall_monitor(prev)
-    assert InfinibandPlugin.monitor is not mine
+    with installed(monitor=mine):
+        assert instrument.monitor is mine
+    assert instrument.monitor is prev
+    assert instrument.monitor is not mine
 
 
 # -- the restart path end to end ----------------------------------------------
 
 
-def test_injected_crash_restart_is_violation_free_under_monitor():
+def test_injected_crash_restart_is_violation_free_under_monitor(
+        trace_invariants):
     """The chaos harness's own restart path satisfies every runtime
-    invariant: state-machine-legal replay, exactly-balanced re-posts,
-    per-PD rkey resolution."""
+    invariant: state-machine-legal replay of every QP's modify log,
+    per-PD rkey resolution — and its traced replay re-posts exactly the
+    surviving logged set."""
     out = verify_restart_path(seed=31, analysis=True)
     proto = out["protocol"]
     assert proto is not None
     assert proto["violations"] == []
-    assert proto["events"].get("replay_begin", 0) >= 1
-    assert proto["events"].get("repost_recv", 0) >= 1
-    assert proto["events"].get("quiesce", 0) >= 1
+    assert proto["events"].get("modify_qp", 0) >= 1
+    assert proto["events"].get("replay_qp", 0) >= 1
+    replays = trace_invariants.of_kind("replay", "E")
+    assert replays
+    assert all(e["reposts"] == e["expected"] for e in replays)
+    reposted = out["counters"]["reposted_sends"] \
+        + out["counters"]["reposted_recvs"]
+    assert reposted > 0
+    assert sum(e["reposts"] for e in replays) == reposted

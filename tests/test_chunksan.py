@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.chunksan import (ChunkSan, ChunkSanError,
-                                     install_chunksan, sanitized,
-                                     uninstall_chunksan)
+from repro import instrument
+from repro.analysis.chunksan import ChunkSan, ChunkSanError
 from repro.dmtcp.image import CheckpointImage
+from repro.instrument import installed
 from repro.memory import CHUNK_BYTES, AddressSpace
-from repro.migrate.manager import MigrationManager
 
 SIZE = 4 * CHUNK_BYTES + 100
 
@@ -38,7 +37,8 @@ def test_chunksan_accepts_all_tracked_write_sequences(writes):
     interleaved captures) satisfies the stamps ⊇ content-diff oracle."""
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    with sanitized() as san:
+    san = ChunkSan()
+    with installed(chunksan=san):
         prev = _capture(mem)
         view = region.view()
         for off, length, value, ckpt in writes:
@@ -57,7 +57,8 @@ def test_chunksan_accepts_all_tracked_write_sequences(writes):
 def test_chunksan_accepts_touch_covered_buffer_writes(writes):
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    with sanitized() as san:
+    san = ChunkSan()
+    with installed(chunksan=san):
         prev = _capture(mem)
         for off, length in writes:
             region.buffer[off:off + length] = bytes([7]) * length
@@ -72,7 +73,8 @@ def test_chunksan_accepts_touch_covered_buffer_writes(writes):
 def test_chunksan_catches_seeded_stale_stamp():
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    with sanitized() as san:
+    san = ChunkSan()
+    with installed(chunksan=san):
         prev = _capture(mem)
         # the bug under test: bytes move in chunk 2, stamps do not
         lo = 2 * CHUNK_BYTES + 17
@@ -87,7 +89,7 @@ def test_chunksan_catches_seeded_stale_stamp():
 def test_chunksan_error_carries_last_touch_backtrace():
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    with sanitized():
+    with installed(chunksan=ChunkSan()):
         prev = _capture(mem)
         view = region.view()
         view[0:10] = 9                   # the touch ChunkSan remembers
@@ -103,7 +105,7 @@ def test_chunksan_error_carries_last_touch_backtrace():
 def test_untouched_chunk_reports_no_backtrace_available():
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    with sanitized():
+    with installed(chunksan=ChunkSan()):
         prev = _capture(mem)
         region.buffer[0:4] = b"QQQQ"
         with pytest.raises(ChunkSanError) as exc:
@@ -119,7 +121,8 @@ def test_remapped_region_reseeds_instead_of_judging():
     not be judged against the old object's stamps."""
     mem = AddressSpace("p0")
     mem.mmap("data", SIZE)
-    with sanitized() as san:
+    san = ChunkSan()
+    with installed(chunksan=san):
         _capture(mem)
         mem.munmap(mem.region("data"))
         mem.mmap("data", SIZE)           # same name, fresh object
@@ -132,7 +135,8 @@ def test_restore_path_is_chunksan_clean():
     mutate / restore / capture cycle satisfies the oracle."""
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    with sanitized() as san:
+    san = ChunkSan()
+    with installed(chunksan=san):
         img = _capture(mem)
         view = region.view()
         view[10:20] = 5
@@ -142,32 +146,30 @@ def test_restore_path_is_chunksan_clean():
         assert san.stale_caught == 0
 
 
-# -- install/uninstall wiring --------------------------------------------------
+# -- install wiring ------------------------------------------------------------
 
 
 def test_install_uninstall_restores_class_state():
     from repro.memory.address_space import Region
 
     orig_touch = Region.touch
+    prev = instrument.chunksan
     san = ChunkSan()
-    prev = install_chunksan(san)
-    try:
-        assert CheckpointImage.chunksan is san
-        assert MigrationManager.chunksan is san
+    with installed(chunksan=san):
+        assert instrument.chunksan is san
         assert Region.touch is not orig_touch
-    finally:
-        uninstall_chunksan(prev)
-    assert CheckpointImage.chunksan is None
-    assert MigrationManager.chunksan is None
+    assert instrument.chunksan is prev
     assert Region.touch is orig_touch
+
+
+# -- the pytest knob ----------------------------------------------------------
 
 
 @pytest.mark.chunksan
 def test_marker_knob_installs_the_oracle():
     """The conftest fixture: a chunksan-marked test runs with the
-    oracle installed class-wide."""
-    assert CheckpointImage.chunksan is not None
-    assert MigrationManager.chunksan is not None
+    oracle in the instrumentation slot."""
+    assert isinstance(instrument.chunksan, ChunkSan)
 
 
 # -- end to end: chaos harness, zero sim time ---------------------------------
@@ -233,7 +235,8 @@ def test_upc_ft_segment_judged_and_proven_clean_by_stamp():
 
     env = Environment()
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=threads, name="upc-san")
-    with sanitized() as san:
+    san = ChunkSan()
+    with installed(chunksan=san):
         session = env.run(until=env.process(dmtcp_launch(
             cluster, make_upc_specs(cluster, threads, app),
             plugin_factory=lambda: [InfinibandPlugin()],

@@ -234,6 +234,55 @@ def test_report_cli_lu_acceptance(tmp_path, capsys):
     assert "checkpoint-time decomposition" in capsys.readouterr().out
 
 
+def _golden_lines():
+    import os
+    path = os.path.join(os.path.dirname(__file__), "golden_traces",
+                        "pingpong_ckpt_restart.jsonl")
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def test_load_trace_truncated_line_is_typed_error(tmp_path, capsys):
+    """A JSONL trace cut mid-record raises TraceFormatError naming file
+    and line; the CLI exits 2 with that message, no traceback."""
+    from repro.obs import TraceFormatError, load_trace
+    from repro.obs.__main__ import main
+
+    lines = _golden_lines()
+    path = tmp_path / "cut.jsonl"
+    path.write_text("\n".join(lines[:3] + [lines[3][:17]]) + "\n")
+    with pytest.raises(TraceFormatError, match=rf"cut\.jsonl:4: not a "
+                                               "JSON record"):
+        load_trace(str(path))
+    assert main(["report", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cut.jsonl:4" in err and "Traceback" not in err
+
+
+def test_load_trace_record_without_kind_is_typed_error(tmp_path, capsys):
+    from repro.obs import TraceFormatError, load_trace
+    from repro.obs.__main__ import main
+
+    lines = _golden_lines()
+    record = json.loads(lines[1])
+    del record["kind"]
+    path = tmp_path / "nokind.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(record)]
+                              + lines[2:]) + "\n")
+    with pytest.raises(TraceFormatError,
+                       match=r"nokind\.jsonl:2: record has no string "
+                             "'kind'"):
+        load_trace(str(path))
+    assert main(["report", "--trace", str(path)]) == 2
+    assert "nokind.jsonl:2" in capsys.readouterr().err
+    # valid JSON that is not an object has no kind either
+    path.write_text(lines[0] + "\n\n[1, 2]\n")
+    with pytest.raises(TraceFormatError,
+                       match=r"nokind\.jsonl:3: record is not a JSON "
+                             "object"):
+        load_trace(str(path))
+
+
 def test_report_cli_json(capsys):
     from repro.obs.__main__ import main
 
